@@ -51,18 +51,37 @@ OpPtr ProjectOp::ByColumns(ExecContext* ctx, OpPtr child,
                                      Schema(std::move(cols)));
 }
 
-StatusOr<bool> ProjectOp::NextImpl(Row* out) {
-  Row in;
-  MURAL_ASSIGN_OR_RETURN(const bool more, child_->Next(&in));
-  if (!more) return false;
+Status ProjectOp::ProjectRow(const Row& in, Row* out) {
   out->clear();
   out->reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) {
     MURAL_ASSIGN_OR_RETURN(Value v, e->Evaluate(in, ctx_));
     out->push_back(std::move(v));
   }
+  return Status::OK();
+}
+
+StatusOr<bool> ProjectOp::NextImpl(Row* out) {
+  Row in;
+  MURAL_ASSIGN_OR_RETURN(const bool more, child_->Next(&in));
+  if (!more) return false;
+  MURAL_RETURN_IF_ERROR(ProjectRow(in, out));
   CountRow();
   return true;
+}
+
+StatusOr<bool> ProjectOp::NextBatchImpl(RowBatch* out) {
+  // The child fills the caller's batch; each selected row is replaced by
+  // its projection through one scratch row, so the batch path allocates
+  // no second batch and, in steady state, no row storage either.
+  MURAL_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(out));
+  for (size_t i = 0; i < out->num_selected(); ++i) {
+    Row& row = out->SelectedRow(i);
+    MURAL_RETURN_IF_ERROR(ProjectRow(row, &scratch_));
+    row.swap(scratch_);
+  }
+  CountRows(out->num_selected());
+  return more;
 }
 
 std::string ProjectOp::DisplayName() const {
@@ -82,6 +101,16 @@ StatusOr<bool> LimitOp::NextImpl(Row* out) {
   ++seen_;
   CountRow();
   return true;
+}
+
+StatusOr<bool> LimitOp::NextBatchImpl(RowBatch* out) {
+  if (seen_ >= limit_) return false;
+  MURAL_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(out));
+  std::vector<uint32_t>& sel = out->selection();
+  if (sel.size() > limit_ - seen_) sel.resize(limit_ - seen_);
+  seen_ += sel.size();
+  CountRows(sel.size());
+  return more;
 }
 
 Status MaterializeOp::OpenImpl() {

@@ -53,6 +53,8 @@ class ProjectOp : public PhysicalOp {
 
   [[nodiscard]] Status OpenImpl() override { return child_->Open(); }
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
+  /// Projects the child's batch in place, in the caller's batch.
+  [[nodiscard]] StatusOr<bool> NextBatchImpl(RowBatch* out) override;
   [[nodiscard]] Status CloseImpl() override { return child_->Close(); }
   const Schema& output_schema() const override { return schema_; }
   std::string DisplayName() const override;
@@ -61,9 +63,13 @@ class ProjectOp : public PhysicalOp {
   }
 
  private:
+  /// Evaluates the projection of `in` into `out` (cleared first).
+  [[nodiscard]] Status ProjectRow(const Row& in, Row* out);
+
   OpPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
+  Row scratch_;  // batch path: the row being projected, swapped in place
 };
 
 /// Emits at most `limit` rows.
@@ -77,6 +83,8 @@ class LimitOp : public PhysicalOp {
     return child_->Open();
   }
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
+  /// Passes child batches through, truncating the selection at the limit.
+  [[nodiscard]] StatusOr<bool> NextBatchImpl(RowBatch* out) override;
   [[nodiscard]] Status CloseImpl() override { return child_->Close(); }
   const Schema& output_schema() const override {
     return child_->output_schema();

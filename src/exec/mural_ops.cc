@@ -9,104 +9,139 @@
 namespace mural {
 
 LexSelectOp::LexSelectOp(ExecContext* ctx, const TableInfo* table,
-                         size_t key_col, Value probe, int threshold_override)
+                         size_t key_col, Value probe, int threshold_override,
+                         ExprPtr residual, int dop, size_t morsel_pages)
     : PhysicalOp(ctx),
       table_(table),
       key_col_(key_col),
       probe_(std::move(probe)),
-      threshold_override_(threshold_override) {}
+      threshold_override_(threshold_override),
+      residual_(std::move(residual)),
+      dop_(std::max(1, dop)),
+      morsel_pages_(std::max<size_t>(1, morsel_pages)) {}
 
 Status LexSelectOp::OpenImpl() {
   k_ = threshold_override_ >= 0 ? threshold_override_
                                 : ctx_->lexequal_threshold;
-  probe_null_ = probe_.is_null();
-  if (!probe_null_) {
-    // Hoisted once per scan; the legacy Filter path re-resolves the
-    // constant's phonemes per row (a cache hit each time).  The matcher
-    // also pre-builds the kernel's Peq table for the probe, leaving only
-    // the column loop as per-row work.
-    MURAL_ASSIGN_OR_RETURN(probe_phonemes_, PhonemesOf(probe_, ctx_));
-    matcher_.emplace(probe_phonemes_, k_);
+  matcher_.reset();
+  if (!probe_.is_null()) {
+    // Hoisted once per scan, whatever the DOP; the Filter path re-resolves
+    // the constant's phonemes per row (a cache hit each time).
+    MURAL_ASSIGN_OR_RETURN(const PhonemeString probe_phonemes,
+                           PhonemesOf(probe_, ctx_));
+    matcher_.emplace(probe_phonemes, k_);
   }
-  it_.emplace(table_->heap->Begin());
-  page_idx_ = 0;
-  slot_ = 0;
+  next_page_ = 0;
+  matches_.clear();
+  match_pos_ = 0;
   return Status::OK();
 }
 
-StatusOr<bool> LexSelectOp::RecordMatches(std::string_view record) {
-  UniTextColumnView view;
-  MURAL_RETURN_IF_ERROR(
-      TupleCodec::PeekUniText(table_->schema, record, key_col_, &view));
-  if (view.is_null) return false;  // NULL never matches (SQL WHERE)
-  ++ctx_->stats.predicate_evals;
-  int d;
-  if (view.has_phonemes) {
-    d = matcher_->Distance(view.phonemes, &ctx_->stats.distance);
-  } else {
-    const LangId lang = table_->schema.column(key_col_).type == TypeId::kText
-                            ? lang::kEnglish
-                            : view.lang;
-    const PhonemeString ph = TransformPhonemesCounted(view.text, lang, ctx_);
-    d = matcher_->Distance(ph, &ctx_->stats.distance);
+Status LexSelectOp::ScanPages(size_t begin, size_t end, ExecContext* wctx,
+                              BoundedMyersMatcher* matcher,
+                              std::vector<Row>* out) const {
+  // Records are matched in place from the page bytes under the page's
+  // read guard: no per-record fetch, latch round-trip, or copy.
+  const Schema& schema = table_->schema;
+  const bool text_col = schema.column(key_col_).type == TypeId::kText;
+  const std::vector<PageId>& pages = table_->heap->pages();
+  BufferPool* pool = table_->heap->pool();
+  for (size_t p = begin; p < end; ++p) {
+    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
+    const Page* page = guard.get();
+    for (SlotId s = 0; s < page->NumSlots(); ++s) {
+      StatusOr<Slice> record = page->Get(s);
+      if (!record.ok()) continue;  // tombstone
+      UniTextColumnView view;
+      MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
+          schema, record->ToStringView(), key_col_, &view));
+      if (view.is_null) continue;  // NULL never matches (SQL WHERE)
+      ++wctx->stats.predicate_evals;
+      const int d =
+          view.has_phonemes
+              ? matcher->Distance(view.phonemes, &wctx->stats.distance)
+              : matcher->Distance(
+                    TransformPhonemesCounted(
+                        view.text, text_col ? lang::kEnglish : view.lang,
+                        wctx),
+                    &wctx->stats.distance);
+      if (d > k_) continue;
+      Row row;
+      MURAL_RETURN_IF_ERROR(
+          TupleCodec::Deserialize(schema, record->ToStringView(), &row));
+      if (residual_ != nullptr) {
+        MURAL_ASSIGN_OR_RETURN(const bool pass,
+                               EvalPredicate(*residual_, row, wctx));
+        if (!pass) continue;
+      }
+      out->push_back(std::move(row));
+    }
   }
-  return d <= k_;
+  return Status::OK();
+}
+
+StatusOr<bool> LexSelectOp::ScanNextMorsels() {
+  matches_.clear();
+  match_pos_ = 0;
+  const size_t num_pages = table_->heap->pages().size();
+  while (matches_.empty()) {
+    if (!matcher_.has_value() || next_page_ >= num_pages) return false;
+    // Serial scans stream one morsel at a time, so a LIMIT above stops
+    // the scan early.  Parallel scans run every remaining morsel in one
+    // phase: one barrier per query instead of one per `dop_` morsels
+    // (~8% faster at DOP 4 over 30k names on a 4-vCPU host).  Each
+    // morsel is scanned into its own slot with its own matcher and
+    // context clone; the gather below concatenates slots and merges
+    // stats in morsel order (= page chain order = SeqScan order).
+    const size_t begin = next_page_;
+    const size_t count =
+        dop_ > 1 ? num_pages - begin
+                 : std::min(num_pages - begin, morsel_pages_);
+    next_page_ += count;
+    const size_t num_morsels = (count + morsel_pages_ - 1) / morsel_pages_;
+    std::vector<std::vector<Row>> slots(num_morsels);
+    std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
+    std::vector<BoundedMyersMatcher> matchers(num_morsels, *matcher_);
+    MURAL_RETURN_IF_ERROR(ParallelMorsels(
+        ctx_->thread_pool, count, morsel_pages_, dop_,
+        [&](size_t m, size_t m_begin, size_t m_end) {
+          return ScanPages(begin + m_begin, begin + m_end, &worker_ctxs[m],
+                           &matchers[m], &slots[m]);
+        }));
+    for (size_t m = 0; m < num_morsels; ++m) {
+      ctx_->stats.Merge(worker_ctxs[m].stats);
+      for (Row& r : slots[m]) matches_.push_back(std::move(r));
+    }
+  }
+  return true;
 }
 
 StatusOr<bool> LexSelectOp::NextImpl(Row* out) {
-  if (probe_null_) return false;
-  while (it_->Valid()) {
-    const std::string& record = it_->record();
-    MURAL_ASSIGN_OR_RETURN(const bool match, RecordMatches(record));
-    if (match) {
-      MURAL_RETURN_IF_ERROR(
-          TupleCodec::Deserialize(table_->schema, record, out));
-      it_->Next();
-      CountRow();
-      return true;
-    }
-    it_->Next();
+  if (match_pos_ == matches_.size()) {
+    MURAL_ASSIGN_OR_RETURN(const bool more, ScanNextMorsels());
+    if (!more) return false;
   }
-  MURAL_RETURN_IF_ERROR(it_->status());
-  return false;
+  *out = std::move(matches_[match_pos_++]);
+  CountRow();
+  return true;
 }
 
 StatusOr<bool> LexSelectOp::NextBatchImpl(RowBatch* out) {
-  if (probe_null_) return false;
-  // The hot loop of the vectorized Psi scan walks the heap page-wise over
-  // the page directory (chain order == the tuple iterator's emission
-  // order): one Fetch and one shared latch per page, records matched in
-  // place from the page bytes — no per-record copy — and deserialized
-  // only on a hit.  Holding the read guard across the kernel follows the
-  // parallel morsel scan's precedent (parallel_ops.cc).
-  const std::vector<PageId>& pages = table_->heap->pages();
-  BufferPool* pool = table_->heap->pool();
-  while (page_idx_ < pages.size() && !out->full()) {
-    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard,
-                           pool->Fetch(pages[page_idx_]));
-    const Page* page = guard.get();
-    while (slot_ < page->NumSlots() && !out->full()) {
-      StatusOr<Slice> record = page->Get(static_cast<SlotId>(slot_++));
-      if (!record.ok()) continue;  // tombstone
-      MURAL_ASSIGN_OR_RETURN(const bool match,
-                             RecordMatches(record->ToStringView()));
-      if (match) {
-        MURAL_RETURN_IF_ERROR(TupleCodec::Deserialize(
-            table_->schema, record->ToStringView(), out->PushRow()));
-      }
+  while (!out->full()) {
+    if (match_pos_ == matches_.size()) {
+      MURAL_ASSIGN_OR_RETURN(const bool more, ScanNextMorsels());
+      if (!more) break;
     }
-    if (slot_ >= page->NumSlots()) {
-      ++page_idx_;
-      slot_ = 0;
-    }
+    *out->PushRow() = std::move(matches_[match_pos_++]);
   }
   CountRows(out->num_selected());
-  return page_idx_ < pages.size() || !out->empty();
+  return !out->empty();
 }
 
 Status LexSelectOp::CloseImpl() {
-  it_.reset();
   matcher_.reset();
+  matches_.clear();
+  match_pos_ = 0;
   return Status::OK();
 }
 
@@ -117,6 +152,8 @@ std::string LexSelectOp::DisplayName() const {
   if (threshold_override_ >= 0) {
     out += StringFormat(" {t=%d}", threshold_override_);
   }
+  if (residual_ != nullptr) out += ", residual " + residual_->ToString();
+  if (dop_ > 1) out += StringFormat(", dop=%d", dop_);
   out += StringFormat(", batch=%zu)", ctx_->batch_size);
   return out;
 }
@@ -129,8 +166,7 @@ LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
       outer_col_(outer_col),
       inner_col_(inner_col),
       options_(options) {
-  Schema concat = Schema::Concat(outer_->output_schema(),
-                                 inner_->output_schema());
+  Schema concat = Schema::Concat(outer_->output_schema(), inner_schema());
   if (options_.tag_distance) {
     std::vector<Column> cols = concat.columns();
     cols.emplace_back("psi_distance", TypeId::kInt32);
@@ -149,13 +185,14 @@ Status LexJoinOp::OpenImpl() {
   result_pos_ = 0;
   const int dop = options_.dop;
   parallel_mode_ = dop > 1 && ctx_->thread_pool != nullptr;
-  if (parallel_mode_ && options_.inner_table != nullptr) {
-    // The build side is a bare table: skip the inner child entirely and
-    // let build workers drain the heap through page-range morsels.
-    MURAL_RETURN_IF_ERROR(ParallelHeapBuild(dop));
+  if (inner_ == nullptr) {
+    // The build side is a bare table: build workers drain its heap
+    // through page-range morsels.
+    MURAL_RETURN_IF_ERROR(HeapBuild(dop));
     outer_valid_ = false;
     inner_pos_ = 0;
-    return OpenParallel(dop, /*build_done=*/true);
+    if (parallel_mode_) return OpenParallel(dop, /*build_done=*/true);
+    return Status::OK();
   }
   MURAL_RETURN_IF_ERROR(inner_->Open());
   Row row;
@@ -184,7 +221,7 @@ Status LexJoinOp::OpenImpl() {
   return Status::OK();
 }
 
-Status LexJoinOp::ParallelHeapBuild(int dop) {
+Status LexJoinOp::HeapBuild(int dop) {
   // Page-range morsels over the inner table's heap: each worker fetches
   // its pages through read guards, deserializes, and converts phonemes
   // into a private slot; the gather concatenates slots in morsel order
@@ -393,16 +430,23 @@ Status LexJoinOp::CloseImpl() {
   results_.clear();
   result_pos_ = 0;
   const Status outer_st = outer_->Close();
-  const Status inner_st = inner_->Close();  // no-op unless Open failed
+  // No-op unless Open failed mid-drain.
+  const Status inner_st =
+      inner_ != nullptr ? inner_->Close() : Status::OK();
   MURAL_RETURN_IF_ERROR(outer_st);
   return inner_st;
 }
 
 std::string LexJoinOp::DisplayName() const {
+  // A heap-built inner side is a leaf attribute of the join, not a child:
+  // it is named here as table.column.
+  const std::string inner_name =
+      (inner_ != nullptr ? "" : options_.inner_table->name + ".") +
+      inner_schema().column(inner_col_).name;
   std::string name = StringFormat(
       "LexJoin(%s ~ %s, t=%d%s",
       outer_->output_schema().column(outer_col_).name.c_str(),
-      inner_->output_schema().column(inner_col_).name.c_str(),
+      inner_name.c_str(),
       options_.threshold >= 0 ? options_.threshold
                               : ctx_->lexequal_threshold,
       options_.tag_distance ? ", tagged" : "");

@@ -25,24 +25,40 @@
 
 namespace mural {
 
-/// Psi selection pushed into the scan: a fused heap-scan + LexEQUAL filter
-/// leaf, the batch-native form of Filter(Psi(col, constant)) over SeqScan.
+/// The Psi-scan operator: a fused heap-scan + LexEQUAL filter leaf, the
+/// form every Psi(col, constant) selection runs in.
 ///
-/// The probe constant's phonemes are hoisted once at Open; per record the
-/// operator peeks only the key column out of the serialized tuple
+/// The probe constant's phonemes are hoisted once at Open, into a
+/// BoundedMyersMatcher whose Peq table is built a single time; per record
+/// the operator peeks only the key column out of the serialized tuple
 /// (TupleCodec::PeekUniText, zero-copy) and runs the bounded bit-parallel
-/// kernel, deserializing the full row only for matches (late
-/// materialization).  Distance calls go through a BoundedMyersMatcher
-/// prepared once at Open — result- and call-count-identical to the
-/// BoundedDistanceCounted path the Filter-over-SeqScan plan takes, so
-/// rows, predicate_evals, and distance_calls agree with that plan; only
-/// word-op and phoneme-cache counters can differ (the matcher's Peq table
-/// and the constant's phonemes are built once, not per row).
+/// kernel, deserializing the full row only for kernel matches (late
+/// materialization).  `residual`, when set, holds the predicate's other
+/// conjuncts (a language filter, a comparison, ...) and is evaluated on
+/// the deserialized matches only.
+///
+/// The heap is walked page-wise over its chain-order page directory, one
+/// read guard per page, in page-range morsels on the ParallelMorsels
+/// scheduler (serially one morsel at a time, or all at once on `dop`
+/// workers), each with its own matcher (the kernel is not thread-safe)
+/// and its own ExecContext::WorkerClone(), gathered in morsel order.  Rows, their order, and the effort counters
+/// are therefore the same at any DOP, and the tuple and batch protocols
+/// replay the same gathered matches.  Against Filter(SeqScan) with the
+/// Psi conjunct first, rows, predicate_evals, and distance_calls agree;
+/// only word-op and phoneme-cache counters can differ (the constant's
+/// phonemes and Peq table are built once, not per row).
 class LexSelectOp : public PhysicalOp {
  public:
+  /// Heap pages per morsel: a page holds on the order of 10^2 name rows,
+  /// so a morsel amortizes the worker hand-off over thousands of rows.
+  static constexpr size_t kMorselPages = 16;
+
   /// `threshold_override` < 0 means "use ctx->lexequal_threshold".
+  /// `dop` > 1 runs the morsels on ctx->thread_pool (inline without one).
   LexSelectOp(ExecContext* ctx, const TableInfo* table, size_t key_col,
-              Value probe, int threshold_override = -1);
+              Value probe, int threshold_override = -1,
+              ExprPtr residual = nullptr, int dop = 1,
+              size_t morsel_pages = kMorselPages);
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
@@ -52,22 +68,27 @@ class LexSelectOp : public PhysicalOp {
   std::string DisplayName() const override;
 
  private:
-  /// Peeks the key column of `record`, runs the kernel, and reports
-  /// whether the row matches (NULL key never matches).
-  [[nodiscard]] StatusOr<bool> RecordMatches(std::string_view record);
+  /// Refills `matches_` from the next morsels; false once the heap is
+  /// exhausted.
+  [[nodiscard]] StatusOr<bool> ScanNextMorsels();
+  /// Scans heap pages [begin, end) into `out` with one worker's state.
+  [[nodiscard]] Status ScanPages(size_t begin, size_t end, ExecContext* wctx,
+                                 BoundedMyersMatcher* matcher,
+                                 std::vector<Row>* out) const;
 
   const TableInfo* table_;
   size_t key_col_;
   Value probe_;
   int threshold_override_;
+  ExprPtr residual_;
+  int dop_;
+  size_t morsel_pages_;
 
-  std::optional<HeapFile::Iterator> it_;  // tuple-path cursor
-  size_t page_idx_ = 0;                   // batch-path cursor (page-wise)
-  int slot_ = 0;
-  PhonemeString probe_phonemes_;
   std::optional<BoundedMyersMatcher> matcher_;  // prepared at Open
-  bool probe_null_ = false;
-  int k_ = 0;  // effective threshold, resolved at Open
+  int k_ = 0;              // effective threshold, resolved at Open
+  size_t next_page_ = 0;   // first heap page not yet scanned
+  std::vector<Row> matches_;  // gathered matches, replayed by Next*
+  size_t match_pos_ = 0;
 };
 
 /// Psi join: matches outer.col_left with inner.col_right under the
@@ -87,11 +108,11 @@ struct LexJoinOptions {
   /// multi-morsel execution on small inputs).
   size_t morsel_size = 2048;
   /// When the inner input is a bare table scan, the planner passes the
-  /// table here and the parallel path skips the inner child entirely:
-  /// build workers claim page-range morsels over the heap and drain it
-  /// through read guards (deserialize + G2P per morsel), gathered in
-  /// chain order so the build side is bit-identical to a serial drain.
-  /// nullptr (or dop <= 1) falls back to draining the inner child.
+  /// table here instead of an inner child operator: build workers claim
+  /// page-range morsels over the heap and drain it through read guards
+  /// (deserialize + G2P per morsel), gathered in chain order so the build
+  /// side is bit-identical to a serial drain.  nullptr: drain the inner
+  /// child.
   const TableInfo* inner_table = nullptr;
   /// Heap pages per build morsel when `inner_table` drives the build.
   size_t build_morsel_pages = 4;
@@ -101,6 +122,7 @@ class LexJoinOp : public PhysicalOp {
  public:
   using Options = LexJoinOptions;
 
+  /// `inner` is null exactly when `options.inner_table` drives the build.
   LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner, size_t outer_col,
             size_t inner_col, Options options = Options());
 
@@ -110,14 +132,20 @@ class LexJoinOp : public PhysicalOp {
   const Schema& output_schema() const override { return schema_; }
   std::string DisplayName() const override;
   std::vector<const PhysicalOp*> Children() const override {
+    if (inner_ == nullptr) return {outer_.get()};
     return {outer_.get(), inner_.get()};
   }
 
  private:
-  /// `build_done` skips the phoneme build phase (ParallelHeapBuild
-  /// already produced inner_phonemes_ during its heap drain).
+  const Schema& inner_schema() const {
+    return inner_ != nullptr ? inner_->output_schema()
+                             : options_.inner_table->schema;
+  }
+
+  /// `build_done` skips the phoneme build phase (HeapBuild already
+  /// produced inner_phonemes_ during its heap drain).
   [[nodiscard]] Status OpenParallel(int dop, bool build_done);
-  [[nodiscard]] Status ParallelHeapBuild(int dop);
+  [[nodiscard]] Status HeapBuild(int dop);
 
   OpPtr outer_, inner_;
   size_t outer_col_, inner_col_;

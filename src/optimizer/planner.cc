@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "exec/parallel_ops.h"
 
 namespace mural {
 
@@ -289,72 +288,83 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   }
   const double out_rows = std::max(1.0, base_rows * sel);
 
+  std::vector<ExprPtr> conjuncts;
+  FlattenConjuncts(node.predicate, &conjuncts);
+
+  // The first Psi(col, constant) conjunct, if any: the Psi-scan
+  // candidate's kernel predicate.  The other conjuncts become its residual.
+  size_t psi_col = 0;
+  Value psi_const;
+  int psi_k_override = -1;
+  size_t psi_conjunct = conjuncts.size();
+  if (!hints.opaque_multilingual) {
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (MatchPsiConstant(*conjuncts[i], &psi_col, &psi_const,
+                           &psi_k_override)) {
+        psi_conjunct = i;
+        break;
+      }
+    }
+  }
+  const bool has_psi_const = psi_conjunct < conjuncts.size();
+  RelProfile psi_rel = rel;
+  int psi_k = ctx_->lexequal_threshold;
+  if (has_psi_const) {
+    const ColumnStats* cs =
+        tstats != nullptr ? tstats->Column(table->schema.column(psi_col).name)
+                          : nullptr;
+    psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
+                          ? cs->avg_phoneme_len
+                          : 12.0;
+    psi_k = psi_k_override >= 0 ? psi_k_override : ctx_->lexequal_threshold;
+  }
+
   // --- candidate 1: seq scan + filter
   Planned best;
   best.base_table = table;
   best.base_stats = tstats;
   best.rows = out_rows;
-  // Whole-predicate Psi(col, constant) match, shared by the tuple-path
-  // costing here and the vectorized-leaf swap at the end of this function.
-  size_t psi_col = 0;
-  Value psi_const;
-  int psi_k_override = -1;
-  RelProfile psi_rel = rel;
-  int psi_k = ctx_->lexequal_threshold;
-  const bool whole_psi =
-      !hints.opaque_multilingual &&
-      MatchPsiConstant(*node.predicate, &psi_col, &psi_const,
-                       &psi_k_override);
-  // Tracks whether `best` is still the tuple-at-a-time filter scan when
-  // all candidates have been compared (the vectorized swap's guard).
-  bool best_is_filter_scan = true;
-  {
-    if (whole_psi) {
-      const ColumnStats* cs =
-          tstats != nullptr
-              ? tstats->Column(table->schema.column(psi_col).name)
-              : nullptr;
-      psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
-                            ? cs->avg_phoneme_len
-                            : 12.0;
-      psi_k = psi_k_override >= 0 ? psi_k_override
-                                  : ctx_->lexequal_threshold;
-      best.cost = cost_model_.PsiScanNoIndex(psi_rel, psi_k);
-    } else if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
-      best.cost = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
-    } else {
-      best.cost = cost_model_.SeqScan(rel);
-      best.cost.cpu += base_rows * cost_model_.params().cpu_operator_cost;
-      if (hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
-        // The engine still executes the UDF per row; it simply cannot
-        // model it.  Charge the generic operator cost only — this is
-        // exactly the mis-costing that makes outside-the-server plans
-        // poor (paper §5.3 discussion).
+  if (has_psi_const) {
+    best.cost = cost_model_.PsiScanNoIndex(psi_rel, psi_k);
+  } else if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
+    best.cost = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
+  } else {
+    // Under opaque_multilingual the engine still executes the UDF per row;
+    // it simply cannot model it.  Charge the generic operator cost only —
+    // exactly the mis-costing that makes outside-the-server plans poor
+    // (paper §5.3 discussion).
+    best.cost = cost_model_.SeqScan(rel);
+    best.cost.cpu += base_rows * cost_model_.params().cpu_operator_cost;
+  }
+  best.op = std::make_unique<FilterOp>(
+      ctx_, std::make_unique<SeqScanOp>(ctx_, table), node.predicate);
+
+  // --- candidate 2: the Psi scan (LexSelectOp), serial or morsel-parallel.
+  // Costed on the batched basis; the Table-3 CPU term divides by DOP, and
+  // setup/worker overhead keeps small inputs serial.  Omega predicates
+  // stay on the filter scan.
+  if (has_psi_const && !ContainsOmega(*node.predicate)) {
+    const Cost serial =
+        cost_model_.PsiScanBatched(psi_rel, psi_k, ctx_->batch_size);
+    const int dop = EffectiveDop(hints);
+    const Cost parallel = cost_model_.Parallelize(serial, dop);
+    const bool parallel_wins = dop > 1 && parallel.total() < serial.total();
+    const Cost cost = parallel_wins ? parallel : serial;
+    if (cost.total() < best.cost.total()) {
+      ExprPtr residual;
+      for (size_t i = 0; i < conjuncts.size(); ++i) {
+        if (i == psi_conjunct) continue;
+        residual = residual == nullptr ? conjuncts[i]
+                                       : And(residual, conjuncts[i]);
       }
-    }
-    best.op = std::make_unique<FilterOp>(
-        ctx_, std::make_unique<SeqScanOp>(ctx_, table), node.predicate);
-  }
-
-  // --- candidate 1b: morsel-parallel Psi scan.  The Table-3 CPU term
-  // divides by DOP; setup/worker overhead keeps small inputs serial.
-  // Omega predicates are excluded: the closure cache is not thread-safe,
-  // so workers would recompute closures per morsel.
-  const int dop = EffectiveDop(hints);
-  if (dop > 1 && !hints.opaque_multilingual &&
-      ContainsPsi(*node.predicate) && !ContainsOmega(*node.predicate)) {
-    const Cost par_cost = cost_model_.Parallelize(best.cost, dop);
-    if (par_cost.total() < best.cost.total()) {
-      best.cost = par_cost;
-      best.op = std::make_unique<ParallelLexScanOp>(ctx_, table,
-                                                    node.predicate, dop);
-      best_is_filter_scan = false;
+      best.cost = cost;
+      best.op = std::make_unique<LexSelectOp>(
+          ctx_, table, psi_col, psi_const, psi_k_override,
+          std::move(residual), parallel_wins ? dop : 1);
     }
   }
 
-  // --- candidate 2: index scans over one indexable conjunct
-  std::vector<ExprPtr> conjuncts;
-  FlattenConjuncts(node.predicate, &conjuncts);
+  // --- candidate 3: index scans over one indexable conjunct
   for (const ExprPtr& conjunct : conjuncts) {
     size_t col;
     Value constant;
@@ -390,10 +400,8 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           // predicate may carry more conjuncts (language filters); MDI is
           // approximate and always needs the recheck.
           best.cost = cost;
-          best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
-          best_is_filter_scan = false;
         }
       }
     }
@@ -415,28 +423,10 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
           probe.kind = IndexProbe::Kind::kEqual;
           probe.key = constant;
           best.cost = cost;
-          best.rows = out_rows;
           best.op = std::make_unique<IndexScanOp>(ctx_, table, index, probe,
                                                   node.predicate);
-          best_is_filter_scan = false;
         }
       }
-    }
-  }
-
-  // --- candidate 1c: vectorized Psi scan (the fused LexSelect leaf).
-  // Considered only when the tuple filter scan is still the winner: the
-  // index-vs-scan and parallel-vs-serial races above stay on the paper's
-  // per-tuple cost basis (Table 3), and batching then upgrades the serial
-  // scan it costs with per-batch dispatch + per-row residual terms.
-  if (best_is_filter_scan && whole_psi && ctx_->batch_size > 0) {
-    const Cost batch_cost =
-        cost_model_.PsiScanBatched(psi_rel, psi_k, ctx_->batch_size);
-    if (batch_cost.total() < best.cost.total()) {
-      best.cost = batch_cost;
-      best.rows = out_rows;
-      best.op = std::make_unique<LexSelectOp>(ctx_, table, psi_col,
-                                              psi_const, psi_k_override);
     }
   }
   return best;
@@ -560,18 +550,20 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
   LexJoinOp::Options options;
   options.threshold = node.psi_threshold;
   options.tag_distance = node.psi_tag_distance;
+  OpPtr inner = std::move(r.op);
   if (parallel_wins) {
     options.dop = dop;
-    // Bare table scan on the build side: let the join's build workers
-    // drain the heap directly through page-range morsels instead of
-    // serializing behind the child operator.
+    // Bare table scan on the build side: the join's build workers drain
+    // the heap directly through page-range morsels, so the join takes the
+    // table instead of the scan operator, which would never be pulled.
     if (r.base_table != nullptr &&
-        dynamic_cast<const SeqScanOp*>(r.op.get()) != nullptr) {
+        dynamic_cast<const SeqScanOp*>(inner.get()) != nullptr) {
       options.inner_table = r.base_table;
+      inner.reset();
     }
   }
   out.op = std::make_unique<LexJoinOp>(ctx_, std::move(l.op),
-                                       std::move(r.op), node.left_col,
+                                       std::move(inner), node.left_col,
                                        node.right_col, options);
   return out;
 }

@@ -1,7 +1,8 @@
 // Tests for the vectorized execution path: RowBatch mechanics, the
 // default NextBatchImpl shim every operator inherits, FilterOp's
-// selection-vector compaction, the SET BATCH_SIZE session setting, and
-// the batches= annotation in EXPLAIN ANALYZE trace trees.
+// selection-vector compaction, ProjectOp/LimitOp batch pass-through, the
+// SET BATCH_SIZE session setting, and the batches= annotation in EXPLAIN
+// ANALYZE trace trees.
 //
 // Kernel-level equivalence lives in distance_test.cc; whole-pipeline
 // batch-vs-tuple differentials in parallel_differential_test.cc.
@@ -169,6 +170,84 @@ TEST(FilterBatchTest, CollectAllMatchesTuplePath) {
     EXPECT_TRUE(rows.ok());
     std::vector<int> out;
     for (const Row& r : *rows) out.push_back(r[0].int32());
+    return out;
+  };
+  const std::vector<int> tuple_path = run(0);
+  ASSERT_EQ(tuple_path.size(), 23u);
+  for (const size_t b : {size_t{1}, size_t{5}, size_t{64}}) {
+    EXPECT_EQ(run(b), tuple_path) << "batch=" << b;
+  }
+}
+
+// ------------------------------------- Project / Limit pass-through
+
+TEST(PassThroughBatchTest, ProjectRewritesTheCallersBatchInPlace) {
+  ExecContext ctx;
+  ProjectOp project(
+      &ctx, std::make_unique<ValuesOp>(&ctx, IntSchema(), IntRows(6)),
+      {Col(0, "a"), Lit(Value::Int32(7))},
+      Schema({{"a", TypeId::kInt32}, {"seven", TypeId::kInt32}}));
+  ASSERT_TRUE(project.Open().ok());
+  RowBatch batch(4);
+  auto first = project.NextBatch(&batch);
+  ASSERT_TRUE(first.ok());
+  EXPECT_TRUE(*first);
+  ASSERT_EQ(batch.num_selected(), 4u);
+  for (size_t i = 0; i < batch.num_selected(); ++i) {
+    ASSERT_EQ(batch.SelectedRow(i).size(), 2u);
+    EXPECT_EQ(batch.SelectedRow(i)[0].int32(), static_cast<int>(i));
+    EXPECT_EQ(batch.SelectedRow(i)[1].int32(), 7);
+  }
+  auto second = project.NextBatch(&batch);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(batch.num_selected(), 2u);
+  ASSERT_TRUE(project.Close().ok());
+  EXPECT_EQ(project.rows_produced(), 6u);
+  EXPECT_EQ(project.batches_produced(), 2u);
+}
+
+TEST(PassThroughBatchTest, LimitTruncatesTheSelectionMidBatch) {
+  ExecContext ctx;
+  auto values = std::make_unique<ValuesOp>(&ctx, IntSchema(), IntRows(100));
+  const ValuesOp* child = values.get();
+  LimitOp limit(&ctx, std::move(values), 6);
+  ASSERT_TRUE(limit.Open().ok());
+  RowBatch batch(4);
+  std::vector<int> got;
+  while (true) {
+    auto more = limit.NextBatch(&batch);
+    ASSERT_TRUE(more.ok());
+    for (size_t i = 0; i < batch.num_selected(); ++i) {
+      got.push_back(batch.SelectedRow(i)[0].int32());
+    }
+    if (!*more) break;
+  }
+  ASSERT_TRUE(limit.Close().ok());
+  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(limit.rows_produced(), 6u);
+  // The second child batch was cut to two rows, and the child is not
+  // pulled again once the limit is met.
+  EXPECT_EQ(child->rows_produced(), 8u);
+}
+
+TEST(PassThroughBatchTest, CollectAllMatchesTuplePath) {
+  auto run = [](size_t batch_size) {
+    ExecContext ctx;
+    ctx.batch_size = batch_size;
+    LimitOp limit(&ctx,
+                  ProjectOp::ByColumns(
+                      &ctx,
+                      std::make_unique<ValuesOp>(&ctx, IntSchema(),
+                                                 IntRows(37)),
+                      {0, 0}),
+                  23);
+    auto rows = CollectAll(&limit);
+    EXPECT_TRUE(rows.ok());
+    std::vector<int> out;
+    for (const Row& r : *rows) {
+      EXPECT_EQ(r.size(), 2u);
+      out.push_back(r[1].int32());
+    }
     return out;
   };
   const std::vector<int> tuple_path = run(0);

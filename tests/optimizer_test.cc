@@ -298,7 +298,7 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
   hints.degree_of_parallelism = 1;
   auto serial = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(serial.ok());
-  EXPECT_EQ(serial->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_EQ(serial->Explain().find("dop="), std::string::npos)
       << serial->Explain();
 
   // DOP = 4 but only 1000 rows at threshold 2: the Table-3 CPU term
@@ -308,7 +308,9 @@ TEST_F(OptimizerTest, SerialPlanAtDopOneAndAtSmallCardinality) {
   hints.degree_of_parallelism = 4;
   auto small = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(small.ok());
-  EXPECT_EQ(small->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(small->Explain().find("LexSelect"), std::string::npos)
+      << small->Explain();
+  EXPECT_EQ(small->Explain().find("dop="), std::string::npos)
       << small->Explain();
 }
 
@@ -326,16 +328,17 @@ TEST_F(OptimizerTest, ParallelPlanWhenCpuTermDominates) {
   hints.degree_of_parallelism = 4;
   auto par = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(par.ok());
-  EXPECT_NE(par->Explain().find("ParallelLexScan"), std::string::npos)
+  EXPECT_NE(par->Explain().find("LexSelect"), std::string::npos)
       << par->Explain();
   EXPECT_NE(par->Explain().find("dop=4"), std::string::npos);
 
   // The opaque-multilingual hint (paper §4.1: engine can't see inside the
-  // predicate) also blocks parallel rewrites.
+  // predicate) also blocks the Psi scan and its parallel form.
   hints.opaque_multilingual = true;
   auto opaque = db_->PlanQuery(plan, hints);
   ASSERT_TRUE(opaque.ok());
-  EXPECT_EQ(opaque->Explain().find("ParallelLexScan"), std::string::npos);
+  EXPECT_EQ(opaque->Explain().find("LexSelect"), std::string::npos);
+  EXPECT_EQ(opaque->Explain().find("dop="), std::string::npos);
 }
 
 TEST_F(OptimizerTest, PredictedRowsTrackActualForPsiScan) {

@@ -6,9 +6,9 @@
 // slots in morsel-index order.
 //
 // Two layers:
-//   1. Operator-level: ParallelLexScanOp over a real table heap (workers
-//      claim page-range morsels and scan through read guards — there is
-//      no serial drain phase to hide behind) and LexJoinOp over seeded
+//   1. Operator-level: LexSelectOp over a real table heap (workers claim
+//      page-range morsels and scan through read guards — there is no
+//      serial drain phase to hide behind) and LexJoinOp over seeded
 //      ValuesOp inputs, with small morsels so inputs span many morsels.
 //   2. Planner-level: full Database queries under a degree_of_parallelism
 //      hint sweep, with datasets sized so the cost model actually picks
@@ -30,7 +30,6 @@
 #include "engine/database.h"
 #include "exec/basic_ops.h"
 #include "exec/mural_ops.h"
-#include "exec/parallel_ops.h"
 #include "exec/scan_ops.h"
 #include "mural/algebra.h"
 #include "phonetic/phoneme_cache.h"
@@ -131,7 +130,7 @@ class OperatorDifferentialTest : public ::testing::Test {
   PhonemeCache cache_{1 << 14};
 };
 
-TEST_F(OperatorDifferentialTest, ParallelLexScanMatchesSerialFilter) {
+TEST_F(OperatorDifferentialTest, ParallelLexSelectMatchesSerialFilter) {
   for (const uint64_t seed : kSeeds) {
     for (const bool materialize : {true, false}) {
       auto db_or = MakeNamesDatabase(/*bases=*/300, /*variants=*/4, seed,
@@ -149,32 +148,53 @@ TEST_F(OperatorDifferentialTest, ParallelLexScanMatchesSerialFilter) {
       gen.num_bases = 300;
       gen.variants_per_base = 4;
       const UniText probe = GenerateNames(gen).front().name;
-      auto predicate = [&] {
-        return LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2);
-      };
+      const ExprPtr psi = LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2);
+      const ExprPtr langs =
+          LangIn(Col(1, "name"), {lang::kHindi, lang::kTamil});
 
-      // Serial reference: FilterOp over a serial SeqScan of the same heap.
-      ExecContext serial_ctx = MakeCtx(1);
-      FilterOp serial(&serial_ctx,
-                      std::make_unique<SeqScanOp>(&serial_ctx, table),
-                      predicate());
-      StatusOr<std::vector<Row>> expected = CollectAll(&serial);
-      ASSERT_TRUE(expected.ok());
-      ASSERT_FALSE(expected->empty());
+      size_t bare_rows = 0;
+      // nullptr: the bare Psi; else Psi AND <residual>.
+      for (const ExprPtr& residual : {ExprPtr(), langs}) {
+        const ExprPtr predicate =
+            residual == nullptr ? psi : And(psi, residual);
 
-      for (const int dop : kDops) {
-        ExecContext ctx = MakeCtx(dop);
-        // One page per morsel: the heap spans several pages, so every
-        // dop > 1 run splits the scan across many page-range morsels.
-        ParallelLexScanOp scan(&ctx, table, predicate(), dop,
-                               /*morsel_pages=*/1);
-        StatusOr<std::vector<Row>> actual = CollectAll(&scan);
-        ASSERT_TRUE(actual.ok()) << "seed=" << seed << " dop=" << dop;
-        // Bit-identical including order (morsel-order gather follows the
-        // page chain order, which is the serial scan order).
-        EXPECT_EQ(RenderAll(*actual), RenderAll(*expected))
-            << "seed=" << seed << " dop=" << dop
-            << " materialize=" << materialize;
+        // Serial reference: FilterOp over a serial SeqScan of the heap.
+        ExecContext serial_ctx = MakeCtx(1);
+        FilterOp serial(&serial_ctx,
+                        std::make_unique<SeqScanOp>(&serial_ctx, table),
+                        predicate);
+        StatusOr<std::vector<Row>> expected = CollectAll(&serial);
+        ASSERT_TRUE(expected.ok());
+        ASSERT_FALSE(expected->empty());
+        if (residual == nullptr) {
+          bare_rows = expected->size();
+        } else {
+          // The language filter must actually drop kernel matches.
+          EXPECT_LT(expected->size(), bare_rows) << "seed=" << seed;
+        }
+
+        for (const int dop : kDops) {
+          ExecContext ctx = MakeCtx(dop);
+          // One page per morsel: the heap spans several pages, so every
+          // dop > 1 run splits the scan across many page-range morsels.
+          LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
+                           /*threshold_override=*/2, residual, dop,
+                           /*morsel_pages=*/1);
+          StatusOr<std::vector<Row>> actual = CollectAll(&scan);
+          ASSERT_TRUE(actual.ok()) << "seed=" << seed << " dop=" << dop;
+          // Bit-identical including order (morsel-order gather follows the
+          // page chain order, which is the serial scan order).
+          const std::string where =
+              "seed=" + std::to_string(seed) + " dop=" + std::to_string(dop) +
+              " materialize=" + std::to_string(materialize) +
+              " residual=" + std::to_string(residual != nullptr);
+          EXPECT_EQ(RenderAll(*actual), RenderAll(*expected)) << where;
+          EXPECT_EQ(ctx.stats.predicate_evals,
+                    serial_ctx.stats.predicate_evals)
+              << where;
+          EXPECT_EQ(ctx.stats.distance.calls, serial_ctx.stats.distance.calls)
+              << where;
+        }
       }
     }
   }
@@ -221,10 +241,10 @@ TEST_F(OperatorDifferentialTest, ParallelLexJoinMatchesSerial) {
 }
 
 TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
-  // The table-backed build side: with Options::inner_table set, the
-  // parallel join never opens its inner child — build workers drain the
-  // heap through page-range read guards.  Results (rows AND order) must
-  // be bit-identical to the serial join that scans the same heap.
+  // The table-backed build side: with Options::inner_table set, the join
+  // has no inner child — build workers drain the heap through page-range
+  // read guards.  Results (rows AND order) must be bit-identical to the
+  // serial join that scans the same heap through a SeqScan child.
   for (const uint64_t seed : kSeeds) {
     // Sized so the heap reliably spans several pages (240 short rows can
     // fit in a single 8 KiB page, which would make the page-range build
@@ -247,14 +267,18 @@ TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
       options.threshold = 2;
       options.dop = dop;
       options.morsel_size = 32;
+      OpPtr inner;
       if (heap_build) {
         options.inner_table = table;
         options.build_morsel_pages = 1;  // many build morsels
+      } else {
+        inner = std::make_unique<SeqScanOp>(&ctx, table);
       }
       LexJoinOp join(&ctx,
                      std::make_unique<ValuesOp>(&ctx, NamesSchema(), outer),
-                     std::make_unique<SeqScanOp>(&ctx, table),
-                     1, 1, options);
+                     std::move(inner), 1, 1, options);
+      // Only operators that are opened and pulled are children.
+      EXPECT_EQ(join.Children().size(), heap_build ? 1u : 2u);
       StatusOr<std::vector<Row>> rows = CollectAll(&join);
       EXPECT_TRUE(rows.ok()) << "seed=" << seed << " dop=" << dop;
       return RenderAll(*rows);
@@ -263,7 +287,6 @@ TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
     const std::vector<std::string> expected = run(1, false);
     ASSERT_FALSE(expected.empty());
     for (const int dop : kDops) {
-      if (dop == 1) continue;  // inner_table requires the parallel path
       EXPECT_EQ(run(dop, true), expected) << "seed=" << seed
                                           << " dop=" << dop;
     }
@@ -347,9 +370,6 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
   gen.num_bases = 300;
   gen.variants_per_base = 4;
   const UniText probe = GenerateNames(gen).front().name;
-  auto predicate = [&] {
-    return LexEq(Col(1, "name"), Lit(Value::Uni(probe)), 2);
-  };
 
   Counter* hits =
       MetricsRegistry::Global().GetCounter("phonetic.phoneme_cache.hits");
@@ -358,8 +378,8 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
   Counter* morsels = MetricsRegistry::Global().GetCounter("exec.morsels_run");
 
   // Normalizes one trace line per node: the operator name truncated at '('
-  // (drops the dop= and per-run cache annotations in DisplayName) plus the
-  // actual-rows annotation.
+  // (drops the dop= annotation in DisplayName) plus the actual-rows
+  // annotation.
   auto normalize = [](const std::string& tree) {
     std::vector<std::string> out;
     size_t pos = 0;
@@ -387,8 +407,9 @@ TEST_F(OperatorDifferentialTest, TraceTreeAndMergedMetricsAreDopInvariant) {
     const uint64_t lookups0 = hits->value() + misses->value();
     const uint64_t morsels0 = morsels->value();
     ExecContext ctx = MakeCtx(dop);
-    ParallelLexScanOp scan(&ctx, table, predicate(), dop,
-                           /*morsel_pages=*/1);
+    LexSelectOp scan(&ctx, table, /*key_col=*/1, Value::Uni(probe),
+                     /*threshold_override=*/2, /*residual=*/nullptr, dop,
+                     /*morsel_pages=*/1);
     StatusOr<std::vector<Row>> rows = CollectAll(&scan);
     ASSERT_TRUE(rows.ok()) << "dop=" << dop;
     TraceOptions opts;
@@ -557,8 +578,11 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
       hints.degree_of_parallelism = dop;
       auto result = db->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
+      // Serial or parallel, the scan is the one Psi-scan operator.
+      EXPECT_NE(result->explain.find("LexSelect"), std::string::npos)
+          << result->explain;
       if (dop == 1) {
-        EXPECT_EQ(result->explain.find("ParallelLexScan"), std::string::npos)
+        EXPECT_EQ(result->explain.find("dop="), std::string::npos)
             << result->explain;
         reference = Sorted(RenderAll(result->rows));
         ASSERT_FALSE(reference.empty());

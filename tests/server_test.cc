@@ -12,9 +12,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/database.h"
@@ -261,14 +263,19 @@ TEST_F(ServerTest, RefusesConnectionsBeyondCapacity) {
   ASSERT_EQ(refusal.size(), 1u);
   EXPECT_EQ(refusal[0].rfind("-- error Overloaded:", 0), 0u) << refusal[0];
 
-  // Once the first client leaves, the slot frees up for a newcomer.
+  // Once the first client leaves, the slot frees up for a newcomer.  The
+  // server notices the disconnect asynchronously, so retry against a
+  // wall-clock deadline rather than a fixed number of attempts.
   EXPECT_TRUE(IsOk(first->Roundtrip("SELECT X FROM T")));
   first.reset();
-  for (int attempt = 0; attempt < 100; ++attempt) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
     auto retry = TestClient::Connect(server_->endpoint());
     ASSERT_NE(retry, nullptr);
     auto response = retry->Roundtrip("SELECT X FROM T");
     if (IsOk(response)) return;  // got the freed slot
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   FAIL() << "slot never freed after client disconnect";
 }

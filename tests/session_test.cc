@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "datagen/name_generator.h"
 #include "engine/database.h"
 #include "mural/algebra.h"
 #include "session/session.h"
@@ -189,7 +190,7 @@ TEST(SessionTest, PlannerHintsThreadThroughSql) {
   auto result = (*session)->Sql(
       "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'", serial);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->explain.find("ParallelLexScan"), std::string::npos)
+  EXPECT_EQ(result->explain.find("dop="), std::string::npos)
       << result->explain;
 }
 
@@ -320,6 +321,126 @@ TEST(SessionTest, QueryViaLogicalPlanCarriesSessionId) {
   EXPECT_GE(result->queue_wait_ms, 0.0);
   auto physical = (*session)->PlanQuery(plan);
   ASSERT_TRUE(physical.ok());
+}
+
+std::vector<std::string> RenderRows(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// The trace line of the first operator whose name starts with `op`, and
+// the line above it (its parent), from an EXPLAIN ANALYZE tree.
+std::pair<std::string, std::string> TraceLine(const std::string& trace,
+                                              const std::string& op) {
+  std::string parent, line;
+  size_t pos = 0;
+  while (pos < trace.size()) {
+    size_t eol = trace.find('\n', pos);
+    if (eol == std::string::npos) eol = trace.size();
+    line = trace.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.find("-> " + op + "(") != std::string::npos) {
+      return {line, parent};
+    }
+    parent = line;
+  }
+  return {"", ""};
+}
+
+TEST(SessionTest, LanguageRestrictedLexEqualRunsOnBatchedPsiScan) {
+  // The multilingual catalog's everyday probe, LexEQUAL restricted to a
+  // language set, through Session::Sql: it must plan the Psi-scan operator
+  // (residual language filter, batch path under Project) at every DOP and
+  // return exactly the rows of the opaque Filter(SeqScan) plan.
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto session = (*db)->Connect();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)
+                  ->Sql("CREATE TABLE Author (AuthorID INT, AName UNITEXT "
+                        "MATERIALIZE PHONEMES)")
+                  .ok());
+  NameGenOptions gen;
+  gen.seed = 11;
+  gen.num_bases = 1600;
+  gen.variants_per_base = 5;
+  const std::vector<NameRecord> names = GenerateNames(gen);
+  for (const NameRecord& rec : names) {
+    ASSERT_TRUE((*db)->Insert("Author",
+                              {Value::Int32(static_cast<int32_t>(rec.id)),
+                               Value::Uni(rec.name)})
+                    .ok());
+  }
+  ASSERT_TRUE((*session)->Sql("ANALYZE Author").ok());
+  ASSERT_TRUE((*session)->Sql("SET LEXEQUAL_THRESHOLD = 3").ok());
+
+  const NameRecord* probe = nullptr;
+  for (const NameRecord& rec : names) {
+    if (rec.name.lang() == lang::kTamil) {
+      probe = &rec;
+      break;
+    }
+  }
+  ASSERT_NE(probe, nullptr);
+  const std::string query =
+      "SELECT AuthorID, AName FROM Author WHERE AName LexEQUAL '" +
+      probe->name.text() + "'@Tamil IN Hindi, Tamil";
+
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+  auto reference = (*session)->Sql(query, opaque);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(reference->explain.find("LexSelect"), std::string::npos)
+      << reference->explain;
+  // At least two matches, so LIMIT 1 below cuts a batch short.
+  ASSERT_GE(reference->rows.size(), 2u);
+
+  for (const int dop : {1, 2, 4}) {
+    ASSERT_TRUE((*session)
+                    ->Sql("SET degree_of_parallelism = " +
+                          std::to_string(dop))
+                    .ok());
+    auto result = (*session)->Sql(query);
+    ASSERT_TRUE(result.ok()) << "dop=" << dop;
+    const auto [scan, parent] =
+        TraceLine(result->explain_analyze, "LexSelect");
+    ASSERT_FALSE(scan.empty()) << result->explain_analyze;
+    EXPECT_NE(parent.find("-> Project("), std::string::npos)
+        << result->explain_analyze;
+    EXPECT_NE(scan.find("batches="), std::string::npos)
+        << result->explain_analyze;
+    EXPECT_NE(scan.find("residual ANAME IN Hindi, Tamil"), std::string::npos) << scan;
+    // 4,800 names at threshold 3: the CPU term pays for the workers.
+    EXPECT_EQ(scan.find("dop="), dop > 1 ? scan.find("dop=" +
+                                                       std::to_string(dop))
+                                         : std::string::npos)
+        << scan;
+    // Same rows in the same order as the opaque filter scan.
+    EXPECT_EQ(RenderRows(result->rows), RenderRows(reference->rows))
+        << "dop=" << dop;
+
+    // LIMIT passes the batch through, truncating its selection mid-batch.
+    auto limited = (*session)->Sql(query + " LIMIT 1");
+    ASSERT_TRUE(limited.ok()) << "dop=" << dop;
+    ASSERT_EQ(limited->rows.size(), 1u);
+    EXPECT_EQ(RenderRows(limited->rows)[0], RenderRows(reference->rows)[0]);
+    const std::string limit = TraceLine(limited->explain_analyze, "Limit").first;
+    EXPECT_NE(limit.find("actual rows=1 "), std::string::npos)
+        << limited->explain_analyze;
+    EXPECT_NE(limit.find("batches=1 "), std::string::npos)
+        << limited->explain_analyze;
+    const std::string limited_scan =
+        TraceLine(limited->explain_analyze, "LexSelect").first;
+    EXPECT_NE(limited_scan.find("actual rows=" +
+                                std::to_string(reference->rows.size())),
+              std::string::npos)
+        << limited->explain_analyze;
+  }
 }
 
 }  // namespace
