@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "distance/edit_distance.h"
 #include "phonetic/g2p_engine.h"
 #include "phonetic/phoneme.h"
@@ -129,6 +131,13 @@ struct ConvergenceCase {
   LangId lang_b;
   int max_distance;  // phonemic distance budget (paper threshold ~2-3)
 };
+
+// Without this, gtest prints a case as the raw bytes of the struct; those
+// hold pointers that change from run to run, and so would the test names.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << "{" << c.a << ", " << c.lang_a << ", " << c.b << ", " << c.lang_b
+      << ", " << c.max_distance << "}";
+}
 
 class ConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 
