@@ -128,6 +128,23 @@ Status AggregateOp::OpenImpl() {
   results_.clear();
   pos_ = 0;
 
+  if (group_by_.empty() && ctx_->batch_size > 0) {
+    // Ungrouped: one accumulator row, fed from the child's batches, so a
+    // batch-native child (the fused select) stays on its batch path.
+    std::vector<AggState> states(aggs_.size());
+    RowBatch batch(ctx_->batch_size);
+    bool more = true;
+    while (more) {
+      MURAL_ASSIGN_OR_RETURN(more, child_->NextBatch(&batch));
+      for (size_t i = 0; i < batch.num_selected(); ++i) {
+        MURAL_RETURN_IF_ERROR(Accumulate(batch.SelectedRow(i), &states));
+      }
+    }
+    MURAL_RETURN_IF_ERROR(child_->Close());
+    results_.push_back(Finalize({}, states));
+    return Status::OK();
+  }
+
   // Ordered map over group-key display forms keeps output deterministic.
   std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
   Row row;

@@ -24,7 +24,9 @@ struct AggSpec {
 /// Groups child rows by `group_by` columns and computes aggregates.
 /// Output schema: group columns (in order) followed by one column per
 /// aggregate.  With no group columns, emits exactly one row (aggregates
-/// over the whole input; zero-input COUNT is 0, others NULL).
+/// over the whole input; zero-input COUNT is 0, others NULL).  Without
+/// group columns (and with a non-zero batch size) the child is drained
+/// through NextBatch, so a batch-native child keeps its batch path.
 class AggregateOp : public PhysicalOp {
  public:
   AggregateOp(ExecContext* ctx, OpPtr child, std::vector<size_t> group_by,

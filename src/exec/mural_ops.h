@@ -15,7 +15,10 @@
 
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -25,14 +28,27 @@
 
 namespace mural {
 
-/// The Psi-scan operator: a fused heap-scan + LexEQUAL filter leaf, the
-/// form every Psi(col, constant) selection runs in.
+/// The fused multilingual select: a heap-scan + predicate leaf, the form
+/// every Psi(col, constant) and Omega(col, constant) selection runs in.
+/// The scan is shared; only the per-record key test differs, one of two
+/// kernels fixed at construction:
 ///
-/// The probe constant's phonemes are hoisted once at Open, into a
-/// BoundedMyersMatcher whose Peq table is built a single time; per record
-/// the operator peeks only the key column out of the serialized tuple
-/// (TupleCodec::PeekUniText, zero-copy) and runs the bounded bit-parallel
-/// kernel, deserializing the full row only for kernel matches (late
+///  - Psi (LexSelect, the constructor): the probe constant's phonemes are
+///    hoisted once at Open into a BoundedMyersMatcher whose Peq table is
+///    built a single time; a record matches when the bounded bit-parallel
+///    distance of its key is within the threshold.
+///  - Omega (LexSelectOp::SemSelect): at Open the constant's roots are
+///    resolved once and their closure taken once (from the session closure
+///    cache, or computed), then flattened into the read-only set of the
+///    closure's (lemma, lang) pairs; a record matches when its (text,
+///    lang) key is in the set.  Taxonomy::Lookup(text, lang) returns
+///    exactly the synsets with that lemma and language, so set membership
+///    is Lookup(text, lang) ∩ TC ≠ ∅ — SemEqualExpr's test — with no
+///    allocation, lock or deserialize per record.
+///
+/// Per record the operator peeks only the key column out of the serialized
+/// tuple (TupleCodec::PeekUniText, zero-copy) and runs the kernel,
+/// deserializing the full row only for kernel matches (late
 /// materialization).  `residual`, when set, holds the predicate's other
 /// conjuncts (a language filter, a comparison, ...) and is evaluated on
 /// the deserialized matches only.
@@ -40,25 +56,36 @@ namespace mural {
 /// The heap is walked page-wise over its chain-order page directory, one
 /// read guard per page, in page-range morsels on the ParallelMorsels
 /// scheduler (serially one morsel at a time, or all at once on `dop`
-/// workers), each with its own matcher (the kernel is not thread-safe)
-/// and its own ExecContext::WorkerClone(), gathered in morsel order.  Rows, their order, and the effort counters
-/// are therefore the same at any DOP, and the tuple and batch protocols
-/// replay the same gathered matches.  Against Filter(SeqScan) with the
-/// Psi conjunct first, rows, predicate_evals, and distance_calls agree;
-/// only word-op and phoneme-cache counters can differ (the constant's
-/// phonemes and Peq table are built once, not per row).
+/// workers), each with its own kernel state (the Psi matcher is not
+/// thread-safe; the Omega key set is read-only and shared) and its own
+/// ExecContext::WorkerClone(), gathered in morsel order.  Rows, their
+/// order, and the effort counters are therefore the same at any DOP, and
+/// the tuple and batch protocols replay the same gathered matches.
+/// Against Filter(SeqScan) with the kernel conjunct first, rows and
+/// predicate_evals agree (and distance_calls, for Psi); only the cache
+/// counters can differ: Psi builds the constant's phonemes and Peq table
+/// once, not per row, and Omega takes one closure per scan, not one per
+/// row (closure_computations + closure_reuses count roots, not rows).
 class LexSelectOp : public PhysicalOp {
  public:
   /// Heap pages per morsel: a page holds on the order of 10^2 name rows,
   /// so a morsel amortizes the worker hand-off over thousands of rows.
   static constexpr size_t kMorselPages = 16;
 
+  /// The Psi kernel: `table.key_col LexEQUAL probe`.
   /// `threshold_override` < 0 means "use ctx->lexequal_threshold".
   /// `dop` > 1 runs the morsels on ctx->thread_pool (inline without one).
   LexSelectOp(ExecContext* ctx, const TableInfo* table, size_t key_col,
               Value probe, int threshold_override = -1,
               ExprPtr residual = nullptr, int dop = 1,
               size_t morsel_pages = kMorselPages);
+
+  /// The Omega kernel: `table.key_col SemEQUAL probe` (the column is the
+  /// LHS: Omega does not commute).  `key_col` must be a UNITEXT column.
+  static std::unique_ptr<LexSelectOp> SemSelect(
+      ExecContext* ctx, const TableInfo* table, size_t key_col, Value probe,
+      ExprPtr residual = nullptr, int dop = 1,
+      size_t morsel_pages = kMorselPages);
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
@@ -68,14 +95,41 @@ class LexSelectOp : public PhysicalOp {
   std::string DisplayName() const override;
 
  private:
+  enum class Kernel { kPsi, kOmega };
+
+  /// One closure member's name: the Omega kernel's key.
+  struct LemmaKey {
+    std::string_view lemma;  // points into the pinned taxonomy
+    LangId lang;
+    bool operator==(const LemmaKey& o) const {
+      return lang == o.lang && lemma == o.lemma;
+    }
+  };
+  struct LemmaKeyHash {
+    size_t operator()(const LemmaKey& k) const {
+      return std::hash<std::string_view>()(k.lemma) ^
+             (static_cast<size_t>(k.lang) * 0x9E3779B97F4A7C15ull);
+    }
+  };
+
+  /// Prepares the Omega kernel: the closure of the probe's roots,
+  /// flattened into `sem_keys_`.
+  [[nodiscard]] Status OpenOmega();
   /// Refills `matches_` from the next morsels; false once the heap is
   /// exhausted.
   [[nodiscard]] StatusOr<bool> ScanNextMorsels();
-  /// Scans heap pages [begin, end) into `out` with one worker's state.
+  /// Scans heap pages [begin, end) into `out` with one worker's context,
+  /// dispatching on the kernel once for the whole morsel.
+  [[nodiscard]] Status ScanMorsel(size_t begin, size_t end, ExecContext* wctx,
+                                  std::vector<Row>* out) const;
+  /// The page loop shared by both kernels; `matches(view, wctx)` is the
+  /// per-record key test.
+  template <typename KeyTest>
   [[nodiscard]] Status ScanPages(size_t begin, size_t end, ExecContext* wctx,
-                                 BoundedMyersMatcher* matcher,
-                                 std::vector<Row>* out) const;
+                                 std::vector<Row>* out,
+                                 const KeyTest& matches) const;
 
+  Kernel kernel_ = Kernel::kPsi;
   const TableInfo* table_;
   size_t key_col_;
   Value probe_;
@@ -84,8 +138,11 @@ class LexSelectOp : public PhysicalOp {
   int dop_;
   size_t morsel_pages_;
 
-  std::optional<BoundedMyersMatcher> matcher_;  // prepared at Open
-  int k_ = 0;              // effective threshold, resolved at Open
+  bool prepared_ = false;  // Open resolved the kernel (probe not NULL)
+  std::optional<BoundedMyersMatcher> matcher_;  // Psi, prepared at Open
+  int k_ = 0;              // Psi effective threshold, resolved at Open
+  std::unordered_set<LemmaKey, LemmaKeyHash> sem_keys_;  // Omega, at Open
+  std::optional<size_t> closure_size_;  // Omega |TC|, once Open resolved it
   size_t next_page_ = 0;   // first heap page not yet scanned
   std::vector<Row> matches_;  // gathered matches, replayed by Next*
   size_t match_pos_ = 0;

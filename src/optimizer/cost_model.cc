@@ -21,22 +21,19 @@ Cost CostModel::BTreeProbe(const RelProfile& rel, double match_rows) const {
               params_.random_page_cost};
 }
 
-Cost CostModel::PsiScanNoIndex(const RelProfile& rel, int k) const {
-  Cost c = SeqScan(rel);
-  c.cpu += rel.rows * DistanceEvalCost(k, rel.avg_len);
-  return c;
-}
-
-Cost CostModel::PsiScanBatched(const RelProfile& rel, int k,
-                               size_t batch_size) const {
-  if (batch_size == 0) return PsiScanNoIndex(rel, k);
-  Cost c;
-  c.io = rel.pages * params_.seq_page_cost;
+Cost CostModel::ScanRows(const RelProfile& rel, size_t batch_size) const {
+  if (batch_size == 0) return SeqScan(rel);
   const double batches =
       std::ceil(rel.rows / static_cast<double>(batch_size));
-  c.cpu = rel.rows *
-              (DistanceEvalCost(k, rel.avg_len) + params_.cpu_batch_row_cost) +
-          batches * params_.cpu_tuple_cost;
+  return {rel.rows * params_.cpu_batch_row_cost +
+              batches * params_.cpu_tuple_cost,
+          rel.pages * params_.seq_page_cost};
+}
+
+Cost CostModel::PsiScanNoIndex(const RelProfile& rel, int k,
+                               size_t batch_size) const {
+  Cost c = ScanRows(rel, batch_size);
+  c.cpu += rel.rows * DistanceEvalCost(k, rel.avg_len);
   return c;
 }
 
@@ -54,8 +51,8 @@ Cost CostModel::PsiScanMTree(const RelProfile& rel, int k) const {
 
 Cost CostModel::OmegaScanNoIndex(const RelProfile& rel, double closure_size,
                                  double tax_nodes, double tax_pages,
-                                 double tax_height) const {
-  Cost c = SeqScan(rel);
+                                 double tax_height, size_t batch_size) const {
+  Cost c = ScanRows(rel, batch_size);
   // Closure by levelwise expansion over the taxonomy table: each of the
   // ~h_T levels scans the edge table once.
   const double levels = std::max(1.0, tax_height);

@@ -96,20 +96,20 @@ class CostModel {
   Cost SeqScan(const RelProfile& rel) const;
   Cost BTreeProbe(const RelProfile& rel, double match_rows) const;
 
-  /// Psi scan-type (Attr ~ Const), Table 3 rows 1-2.
-  Cost PsiScanNoIndex(const RelProfile& rel, int k) const;
+  /// Psi scan-type (Attr ~ Const), Table 3 rows 1-2.  `batch_size` > 0
+  /// prices the vectorized scan (the fused LexSelect leaf): same I/O and
+  /// distance terms — the kernel is shared between paths — but the
+  /// per-tuple dispatch cost is paid once per batch, with a smaller
+  /// per-row residual (cpu_batch_row_cost); 0 prices Filter over SeqScan.
+  Cost PsiScanNoIndex(const RelProfile& rel, int k,
+                      size_t batch_size = 0) const;
   Cost PsiScanMTree(const RelProfile& rel, int k) const;
 
-  /// Vectorized Psi scan (the fused LexSelect leaf): same I/O and distance
-  /// terms as PsiScanNoIndex — the kernel is shared between paths — but
-  /// the per-tuple dispatch cost is paid once per batch, with a smaller
-  /// per-row residual (cpu_batch_row_cost).
-  Cost PsiScanBatched(const RelProfile& rel, int k, size_t batch_size) const;
-
   /// Omega scan-type: closure computed once, then n membership probes.
+  /// `batch_size` as for PsiScanNoIndex (the fused SemSelect leaf).
   Cost OmegaScanNoIndex(const RelProfile& rel, double closure_size,
                         double tax_nodes, double tax_pages,
-                        double tax_height) const;
+                        double tax_height, size_t batch_size = 0) const;
   Cost OmegaScanBTree(const RelProfile& rel, double closure_size,
                       double btree_height, double fanout) const;
 
@@ -146,6 +146,11 @@ class CostModel {
   Cost Materialize(double rows) const;
 
  private:
+  /// A heap scan's page reads and per-row overhead: cpu_tuple_cost per
+  /// row on the tuple basis (batch_size 0), else cpu_batch_row_cost per
+  /// row plus cpu_tuple_cost per batch.
+  Cost ScanRows(const RelProfile& rel, size_t batch_size) const;
+
   /// CPU of one diagonal-transition distance evaluation.
   double DistanceEvalCost(int k, double len) const {
     // The band has (2k+1) diagonals over ~len columns; at least one cell.

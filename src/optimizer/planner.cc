@@ -61,20 +61,29 @@ bool MatchEqConstant(const Expr& expr, size_t* col, Value* constant) {
   return true;
 }
 
+/// Matches `expr` as Omega(UNITEXT colref, UniText literal).  Only this
+/// operand order: Omega does not commute (Table 1).
+bool MatchOmegaConstant(const Expr& expr, const Schema& schema, size_t* col,
+                        Value* constant) {
+  const auto* omega = dynamic_cast<const SemEqualExpr*>(&expr);
+  if (omega == nullptr) return false;
+  const auto* c = dynamic_cast<const ColumnRefExpr*>(omega->left().get());
+  const auto* l = dynamic_cast<const LiteralExpr*>(omega->right().get());
+  if (c == nullptr || l == nullptr || c->index() >= schema.NumColumns() ||
+      schema.column(c->index()).type != TypeId::kUniText ||
+      l->value().type() != TypeId::kUniText) {
+    return false;
+  }
+  *col = c->index();
+  *constant = l->value();
+  return true;
+}
+
 bool ContainsPsi(const Expr& expr) {
   if (dynamic_cast<const LexEqualExpr*>(&expr) != nullptr) return true;
   if (const auto* logical = dynamic_cast<const LogicalExpr*>(&expr)) {
     if (ContainsPsi(*logical->left())) return true;
     if (logical->right() && ContainsPsi(*logical->right())) return true;
-  }
-  return false;
-}
-
-bool ContainsOmega(const Expr& expr) {
-  if (dynamic_cast<const SemEqualExpr*>(&expr) != nullptr) return true;
-  if (const auto* logical = dynamic_cast<const LogicalExpr*>(&expr)) {
-    if (ContainsOmega(*logical->left())) return true;
-    if (logical->right() && ContainsOmega(*logical->right())) return true;
   }
   return false;
 }
@@ -110,6 +119,17 @@ RelProfile Planner::ProfileOf(const Planned& planned, size_t key_col) const {
     }
   }
   return profile;
+}
+
+Planner::TaxonomyProfile Planner::ProfileTaxonomy() const {
+  TaxonomyProfile tax;
+  if (ctx_->taxonomy != nullptr) {
+    const TaxonomyStats ts = ctx_->taxonomy->ComputeStats();
+    tax.nodes = static_cast<double>(ts.num_synsets);
+    tax.pages = std::max(1.0, tax.nodes / 150.0);
+    tax.height = std::max<double>(1.0, ts.height);
+  }
+  return tax;
 }
 
 StatusOr<PhysicalPlan> Planner::Plan(const LogicalPtr& root,
@@ -291,41 +311,70 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   std::vector<ExprPtr> conjuncts;
   FlattenConjuncts(node.predicate, &conjuncts);
 
-  // The first Psi(col, constant) conjunct, if any: the Psi-scan
-  // candidate's kernel predicate.  The other conjuncts become its residual.
-  size_t psi_col = 0;
-  Value psi_const;
+  // The fused select's kernel conjunct: the first Psi(col, constant), else
+  // the first Omega(UNITEXT col, UniText constant).  The other conjuncts
+  // become its residual.
+  size_t kernel_col = 0;
+  Value kernel_const;
   int psi_k_override = -1;
-  size_t psi_conjunct = conjuncts.size();
+  size_t kernel_conjunct = conjuncts.size();
+  bool omega_kernel = false;
   if (!hints.opaque_multilingual) {
     for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (MatchPsiConstant(*conjuncts[i], &psi_col, &psi_const,
+      if (MatchPsiConstant(*conjuncts[i], &kernel_col, &kernel_const,
                            &psi_k_override)) {
-        psi_conjunct = i;
+        kernel_conjunct = i;
         break;
       }
     }
+    if (kernel_conjunct == conjuncts.size()) {
+      for (size_t i = 0; i < conjuncts.size(); ++i) {
+        if (MatchOmegaConstant(*conjuncts[i], table->schema, &kernel_col,
+                               &kernel_const)) {
+          kernel_conjunct = i;
+          omega_kernel = true;
+          break;
+        }
+      }
+    }
   }
-  const bool has_psi_const = psi_conjunct < conjuncts.size();
+  const bool has_kernel = kernel_conjunct < conjuncts.size();
   RelProfile psi_rel = rel;
   int psi_k = ctx_->lexequal_threshold;
-  if (has_psi_const) {
+  if (has_kernel && !omega_kernel) {
     const ColumnStats* cs =
-        tstats != nullptr ? tstats->Column(table->schema.column(psi_col).name)
-                          : nullptr;
+        tstats != nullptr
+            ? tstats->Column(table->schema.column(kernel_col).name)
+            : nullptr;
     psi_rel.avg_len = cs != nullptr && cs->avg_phoneme_len > 0
                           ? cs->avg_phoneme_len
                           : 12.0;
     psi_k = psi_k_override >= 0 ? psi_k_override : ctx_->lexequal_threshold;
   }
+  // The kernel's Table-3 no-index scan row (for Omega: one closure, then
+  // one hash probe per row); `batch_size` 0 prices the filter scan, else
+  // the fused select.
+  double closure = 0;
+  TaxonomyProfile tax;
+  if (omega_kernel) {
+    closure = estimator_.OmegaClosureSize(&kernel_const);
+    tax = ProfileTaxonomy();
+  }
+  const auto kernel_cost = [&](size_t batch_size) {
+    return omega_kernel
+               ? cost_model_.OmegaScanNoIndex(rel, closure, tax.nodes,
+                                              tax.pages, tax.height,
+                                              batch_size)
+               : cost_model_.PsiScanNoIndex(psi_rel, psi_k, batch_size);
+  };
 
   // --- candidate 1: seq scan + filter
   Planned best;
   best.base_table = table;
   best.base_stats = tstats;
   best.rows = out_rows;
-  if (has_psi_const) {
-    best.cost = cost_model_.PsiScanNoIndex(psi_rel, psi_k);
+  if (has_kernel) {
+    best.cost = kernel_cost(/*batch_size=*/0);
   } else if (!hints.opaque_multilingual && ContainsPsi(*node.predicate)) {
     best.cost = cost_model_.PsiScanNoIndex(rel, ctx_->lexequal_threshold);
   } else {
@@ -339,13 +388,12 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   best.op = std::make_unique<FilterOp>(
       ctx_, std::make_unique<SeqScanOp>(ctx_, table), node.predicate);
 
-  // --- candidate 2: the Psi scan (LexSelectOp), serial or morsel-parallel.
-  // Costed on the batched basis; the Table-3 CPU term divides by DOP, and
-  // setup/worker overhead keeps small inputs serial.  Omega predicates
-  // stay on the filter scan.
-  if (has_psi_const && !ContainsOmega(*node.predicate)) {
-    const Cost serial =
-        cost_model_.PsiScanBatched(psi_rel, psi_k, ctx_->batch_size);
+  // --- candidate 2: the fused select (LexSelectOp with the Psi or Omega
+  // kernel), serial or morsel-parallel.  Costed on the batched basis; the
+  // Table-3 CPU term divides by DOP, and setup/worker overhead keeps small
+  // inputs serial.
+  if (has_kernel) {
+    const Cost serial = kernel_cost(ctx_->batch_size);
     const int dop = EffectiveDop(hints);
     const Cost parallel = cost_model_.Parallelize(serial, dop);
     const bool parallel_wins = dop > 1 && parallel.total() < serial.total();
@@ -353,14 +401,21 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
     if (cost.total() < best.cost.total()) {
       ExprPtr residual;
       for (size_t i = 0; i < conjuncts.size(); ++i) {
-        if (i == psi_conjunct) continue;
+        if (i == kernel_conjunct) continue;
         residual = residual == nullptr ? conjuncts[i]
                                        : And(residual, conjuncts[i]);
       }
+      const int select_dop = parallel_wins ? dop : 1;
       best.cost = cost;
-      best.op = std::make_unique<LexSelectOp>(
-          ctx_, table, psi_col, psi_const, psi_k_override,
-          std::move(residual), parallel_wins ? dop : 1);
+      if (omega_kernel) {
+        best.op = LexSelectOp::SemSelect(ctx_, table, kernel_col,
+                                         kernel_const, std::move(residual),
+                                         select_dop);
+      } else {
+        best.op = std::make_unique<LexSelectOp>(
+            ctx_, table, kernel_col, kernel_const, psi_k_override,
+            std::move(residual), select_dop);
+      }
     }
   }
 
@@ -594,18 +649,12 @@ StatusOr<Planner::Planned> Planner::PlanOmegaJoin(const LogicalNode& node,
 
   Planned out;
   out.rows = std::max(1.0, l.rows * r.rows * sel);
-  double tax_nodes = 1, tax_pages = 1, tax_height = 1;
-  if (ctx_->taxonomy != nullptr) {
-    const TaxonomyStats ts = ctx_->taxonomy->ComputeStats();
-    tax_nodes = static_cast<double>(ts.num_synsets);
-    tax_pages = std::max(1.0, tax_nodes / 150.0);
-    tax_height = std::max<double>(1.0, ts.height);
-  }
+  const TaxonomyProfile tax = ProfileTaxonomy();
   const double closure = estimator_.OmegaClosureSize(nullptr);
   out.cost = l.cost + r.cost +
              cost_model_.OmegaJoin(ProfileOf(l, node.left_col),
                                    ProfileOf(r, node.right_col), rhs_unique,
-                                   closure, tax_nodes, tax_pages, tax_height,
+                                   closure, tax.nodes, tax.pages, tax.height,
                                    /*btree=*/false, 2.0, 8.0);
   SemJoinOp::Options options;
   out.op = std::make_unique<SemJoinOp>(ctx_, std::move(l.op),

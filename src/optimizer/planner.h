@@ -97,6 +97,15 @@ class Planner {
 
   RelProfile ProfileOf(const Planned& planned, size_t key_col) const;
 
+  /// Table 2's taxonomy parameters of the pinned taxonomy: n_T synsets,
+  /// P_T pages, h_T height (1 each without a taxonomy).
+  struct TaxonomyProfile {
+    double nodes = 1;
+    double pages = 1;
+    double height = 1;
+  };
+  TaxonomyProfile ProfileTaxonomy() const;
+
   /// The DOP parallel plan candidates are costed at: the hint override or
   /// the session setting, forced to 1 without a worker pool.
   int EffectiveDop(const PlannerHints& hints) const;

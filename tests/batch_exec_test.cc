@@ -1,8 +1,8 @@
 // Tests for the vectorized execution path: RowBatch mechanics, the
 // default NextBatchImpl shim every operator inherits, FilterOp's
-// selection-vector compaction, ProjectOp/LimitOp batch pass-through, the
-// SET BATCH_SIZE session setting, and the batches= annotation in EXPLAIN
-// ANALYZE trace trees.
+// selection-vector compaction, ProjectOp/LimitOp/ungrouped-AggregateOp
+// batch pass-through, the SET BATCH_SIZE session setting, and the
+// batches= annotation in EXPLAIN ANALYZE trace trees.
 //
 // Kernel-level equivalence lives in distance_test.cc; whole-pipeline
 // batch-vs-tuple differentials in parallel_differential_test.cc.
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "exec/agg_ops.h"
 #include "exec/basic_ops.h"
 #include "exec/operator.h"
 #include "mural/algebra.h"
@@ -254,6 +255,50 @@ TEST(PassThroughBatchTest, CollectAllMatchesTuplePath) {
   ASSERT_EQ(tuple_path.size(), 23u);
   for (const size_t b : {size_t{1}, size_t{5}, size_t{64}}) {
     EXPECT_EQ(run(b), tuple_path) << "batch=" << b;
+  }
+}
+
+TEST(PassThroughBatchTest, UngroupedAggregateDrainsChildBatches) {
+  // Every ungrouped aggregate, over input with NULLs (every 4th row) and
+  // over empty input: the batch drain must equal the tuple path, and the
+  // child must actually have been driven through NextBatch.
+  const std::vector<AggSpec> aggs = {{AggKind::kCountStar, 0, "n"},
+                                     {AggKind::kCount, 0, "c"},
+                                     {AggKind::kSum, 0, "s"},
+                                     {AggKind::kAvg, 0, "v"},
+                                     {AggKind::kMin, 0, "lo"},
+                                     {AggKind::kMax, 0, "hi"}};
+  for (const int n : {0, 37}) {
+    std::vector<Row> input = IntRows(n);
+    for (int i = 0; i < n; i += 4) input[i][0] = Value::Null();
+    auto run = [&](size_t batch_size, uint64_t* child_batches) {
+      ExecContext ctx;
+      ctx.batch_size = batch_size;
+      auto values = std::make_unique<ValuesOp>(&ctx, IntSchema(), input);
+      const ValuesOp* child = values.get();
+      AggregateOp agg(&ctx, std::move(values), {}, aggs);
+      auto rows = CollectAll(&agg);
+      EXPECT_TRUE(rows.ok());
+      *child_batches = child->batches_produced();
+      std::string out;
+      for (const Row& r : *rows) {
+        for (const Value& v : r) out += v.ToString() + "|";
+        out += "\n";
+      }
+      return out;
+    };
+    uint64_t child_batches = 0;
+    const std::string tuple_path = run(0, &child_batches);
+    EXPECT_EQ(child_batches, 0u);
+    EXPECT_EQ(tuple_path.substr(0, tuple_path.find('|')),
+              std::to_string(n));
+    for (const size_t b : {size_t{1}, size_t{5}, size_t{64}}) {
+      EXPECT_EQ(run(b, &child_batches), tuple_path) << "n=" << n
+                                                    << " batch=" << b;
+      if (n > 0 && b == 5) {
+        EXPECT_GT(child_batches, 1u);
+      }
+    }
   }
 }
 

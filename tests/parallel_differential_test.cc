@@ -6,13 +6,20 @@
 // slots in morsel-index order.
 //
 // Two layers:
-//   1. Operator-level: LexSelectOp over a real table heap (workers claim
-//      page-range morsels and scan through read guards — there is no
-//      serial drain phase to hide behind) and LexJoinOp over seeded
-//      ValuesOp inputs, with small morsels so inputs span many morsels.
+//   1. Operator-level: LexSelectOp with its Psi and Omega kernels over a
+//      real table heap (workers claim page-range morsels and scan through
+//      read guards — there is no serial drain phase to hide behind) and
+//      LexJoinOp over seeded ValuesOp inputs, with small morsels so inputs
+//      span many morsels.
 //   2. Planner-level: full Database queries under a degree_of_parallelism
 //      hint sweep, with datasets sized so the cost model actually picks
 //      the parallel plan at dop > 1.
+//
+// The Omega cases compare the fused select against Filter(SeqScan,
+// SemEqualExpr): same rows, same order, same predicate_evals.  The
+// closure counters legitimately differ — the fused select takes one
+// closure per scan (one cache lookup per root of the constant), the
+// filter one per evaluated row — so they are checked separately.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +34,14 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "datagen/name_generator.h"
+#include "datagen/taxonomy_generator.h"
 #include "engine/database.h"
 #include "exec/basic_ops.h"
 #include "exec/mural_ops.h"
 #include "exec/scan_ops.h"
 #include "mural/algebra.h"
 #include "phonetic/phoneme_cache.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -106,6 +115,66 @@ StatusOr<std::unique_ptr<Database>> MakeNamesDatabase(size_t bases,
   }
   MURAL_RETURN_IF_ERROR(db->Analyze("names"));
   return db;
+}
+
+// A seeded category table for the Omega cases, with its taxonomy pinned:
+// a generated three-language taxonomy (English base, Hindi and Tamil
+// replicas) plus one homonym, an English synset reusing a base lemma over
+// an unrelated subtree, so that lemma resolves to two roots.  Categories
+// cycle through the taxonomy's lemmas in every language; every 11th row
+// is NULL, every 13th names no synset, and every 17th pairs a lemma with
+// the wrong language.
+struct CategoryWorld {
+  std::unique_ptr<Database> db;
+  UniText mid;       // a mid-level Hindi concept
+  UniText homonym;   // an English lemma with two roots
+  UniText absent;    // in no synset
+};
+
+StatusOr<CategoryWorld> MakeCategoryWorld(uint64_t seed, size_t rows) {
+  TaxonomyGenOptions options;
+  options.seed = seed;
+  options.base_synsets = 300;
+  options.languages = {lang::kEnglish, lang::kHindi, lang::kTamil};
+  GeneratedTaxonomy gen = GenerateTaxonomy(options);
+  Taxonomy& tax = *gen.taxonomy;
+  const SynsetId homonym_base = gen.base_synsets[20 + seed % 20];
+  const SynsetId twin =
+      tax.AddSynset(lang::kEnglish, tax.Get(homonym_base).lemma);
+  MURAL_RETURN_IF_ERROR(
+      tax.AddIsA(gen.base_synsets[150 + seed % 100], twin));
+
+  CategoryWorld world;
+  world.mid = UniText(tax.Get(gen.replicas[5 + seed % 5][0]).lemma,
+                      lang::kHindi);
+  world.homonym = UniText(tax.Get(homonym_base).lemma, lang::kEnglish);
+  world.absent = UniText("no_such_concept", lang::kEnglish);
+
+  MURAL_ASSIGN_OR_RETURN(world.db, Database::Open());
+  Database* db = world.db.get();
+  MURAL_RETURN_IF_ERROR(db->CreateTable(
+      "cats", Schema({{"id", TypeId::kInt32}, {"cat", TypeId::kUniText}})));
+  for (size_t i = 0; i < rows; ++i) {
+    Value cat;
+    if (i % 11 == 0) {
+      cat = Value::Null();
+    } else if (i % 13 == 0) {
+      cat = Value::Uni("nosuch" + std::to_string(i), lang::kEnglish);
+    } else {
+      const Synset& s = tax.Get(
+          static_cast<SynsetId>((i * 7919 + seed * 31) % tax.size()));
+      // Every 17th row pairs a lemma with a language it is not in.
+      const LangId lang = i % 17 != 0           ? s.lang
+                          : s.lang == lang::kHindi ? lang::kTamil
+                                                   : lang::kHindi;
+      cat = Value::Uni(s.lemma, lang);
+    }
+    MURAL_RETURN_IF_ERROR(db->Insert(
+        "cats", {Value::Int32(static_cast<int32_t>(i)), std::move(cat)}));
+  }
+  MURAL_RETURN_IF_ERROR(db->Analyze("cats"));
+  MURAL_RETURN_IF_ERROR(db->LoadTaxonomy(std::move(gen.taxonomy)));
+  return world;
 }
 
 // ------------------------------------------------------------------
@@ -194,6 +263,75 @@ TEST_F(OperatorDifferentialTest, ParallelLexSelectMatchesSerialFilter) {
               << where;
           EXPECT_EQ(ctx.stats.distance.calls, serial_ctx.stats.distance.calls)
               << where;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(OperatorDifferentialTest, SemSelectMatchesSerialFilter) {
+  for (const uint64_t seed : kSeeds) {
+    auto world_or = MakeCategoryWorld(seed, /*rows=*/3000);
+    ASSERT_TRUE(world_or.ok()) << world_or.status().ToString();
+    CategoryWorld world = std::move(*world_or);
+    auto table_or = world.db->catalog()->GetTable("cats");
+    ASSERT_TRUE(table_or.ok());
+    const TableInfo* table = *table_or;
+    ASSERT_GT(table->heap->num_pages(), 1u);
+    const Taxonomy* tax = world.db->taxonomy();
+    ASSERT_EQ(tax->Lookup(world.homonym).size(), 2u);
+    const ExprPtr langs = LangIn(Col(1, "cat"), {lang::kHindi, lang::kTamil});
+
+    for (const UniText& constant :
+         {world.mid, world.homonym, world.absent}) {
+      const size_t roots = tax->Lookup(constant).size();
+      const ExprPtr omega = SemEq(Col(1, "cat"), Lit(Value::Uni(constant)));
+      for (const ExprPtr& residual : {ExprPtr(), langs}) {
+        const ExprPtr predicate =
+            residual == nullptr ? omega : And(omega, residual);
+        for (const bool use_cache : {true, false}) {
+          ClosureCache cache(tax);
+          auto make_ctx = [&](int dop) {
+            ExecContext ctx = MakeCtx(dop);
+            ctx.taxonomy = tax;
+            ctx.closure_cache = use_cache ? &cache : nullptr;
+            return ctx;
+          };
+          ExecContext serial_ctx = make_ctx(1);
+          FilterOp serial(&serial_ctx,
+                          std::make_unique<SeqScanOp>(&serial_ctx, table),
+                          predicate);
+          StatusOr<std::vector<Row>> expected = CollectAll(&serial);
+          ASSERT_TRUE(expected.ok());
+          if (constant.text() == world.absent.text()) {
+            EXPECT_TRUE(expected->empty());
+          } else {
+            EXPECT_FALSE(expected->empty()) << constant.text();
+          }
+
+          for (const int dop : kDops) {
+            ExecContext ctx = make_ctx(dop);
+            std::unique_ptr<LexSelectOp> scan = LexSelectOp::SemSelect(
+                &ctx, table, /*key_col=*/1, Value::Uni(constant), residual,
+                dop, /*morsel_pages=*/1);
+            StatusOr<std::vector<Row>> actual = CollectAll(scan.get());
+            const std::string where =
+                "seed=" + std::to_string(seed) + " const=" +
+                constant.text() + " dop=" + std::to_string(dop) +
+                " residual=" + std::to_string(residual != nullptr) +
+                " cache=" + std::to_string(use_cache);
+            ASSERT_TRUE(actual.ok()) << where;
+            EXPECT_EQ(RenderAll(*actual), RenderAll(*expected)) << where;
+            EXPECT_EQ(ctx.stats.predicate_evals,
+                      serial_ctx.stats.predicate_evals)
+                << where;
+            // One closure per scan: one cache lookup per root, or one
+            // computation of the union without the cache.
+            EXPECT_EQ(ctx.stats.closure_computations +
+                          ctx.stats.closure_reuses,
+                      roots == 0 ? 0u : use_cache ? roots : 1u)
+                << where;
+          }
         }
       }
     }
@@ -717,6 +855,71 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
           EXPECT_EQ(result->exec_stats.distance.calls, reference_calls)
               << "seed=" << seed << " batch=" << batch << " dop=" << dop;
         }
+      }
+    }
+  }
+}
+
+TEST(PlannerDifferentialTest, SemSelectSqlMatchesFilterPlan) {
+  // Session::Sql: count(*) and a language-restricted projection must plan
+  // the fused select (Omega kernel, no Filter or SeqScan), keep the batch
+  // path under the aggregate and the projection, and return exactly the
+  // rows of the opaque Filter(SeqScan) plan at every DOP.
+  for (const uint64_t seed : kSeeds) {
+    auto world_or = MakeCategoryWorld(seed, /*rows=*/6000);
+    ASSERT_TRUE(world_or.ok()) << world_or.status().ToString();
+    CategoryWorld world = std::move(*world_or);
+    auto session = world.db->Connect();
+    ASSERT_TRUE(session.ok());
+
+    const auto literal = [](const UniText& c) {
+      return "'" + c.text() + "'@" +
+             LanguageRegistry::Default().NameOf(c.lang());
+    };
+    std::vector<std::string> queries;
+    for (const UniText& c : {world.mid, world.homonym, world.absent}) {
+      queries.push_back("SELECT count(*) FROM cats WHERE cat SemEQUAL " +
+                        literal(c));
+      queries.push_back("SELECT id, cat FROM cats WHERE cat SemEQUAL " +
+                        literal(c) + " IN Hindi, Tamil");
+    }
+    PlannerHints opaque;
+    opaque.opaque_multilingual = true;
+    for (const std::string& query : queries) {
+      auto reference = (*session)->Sql(query, opaque);
+      ASSERT_TRUE(reference.ok()) << query;
+      EXPECT_EQ(reference->explain.find("SemSelect"), std::string::npos)
+          << reference->explain;
+      for (const int dop : {1, 2, 4}) {
+        ASSERT_TRUE((*session)
+                        ->Sql("SET degree_of_parallelism = " +
+                              std::to_string(dop))
+                        .ok());
+        auto result = (*session)->Sql(query);
+        const std::string where =
+            "seed=" + std::to_string(seed) + " dop=" + std::to_string(dop) +
+            " " + query;
+        ASSERT_TRUE(result.ok()) << where;
+        const std::string& plan = result->explain_analyze;
+        const size_t scan = plan.find("SemSelect(cats.cat SemEQUAL");
+        ASSERT_NE(scan, std::string::npos) << where << "\n" << plan;
+        EXPECT_EQ(plan.find("Filter("), std::string::npos) << plan;
+        EXPECT_EQ(plan.find("SeqScan("), std::string::npos) << plan;
+        const std::string scan_line =
+            plan.substr(scan, plan.find('\n', scan) - scan);
+        if (scan_line.find("actual rows=0 ") == std::string::npos) {
+          EXPECT_NE(scan_line.find("batches="), std::string::npos) << plan;
+        }
+        // 6,000 rows: the probe term pays for the workers at every dop.
+        EXPECT_EQ(scan_line.find("dop="),
+                  dop > 1 ? scan_line.find("dop=" + std::to_string(dop))
+                          : std::string::npos)
+            << scan_line;
+        EXPECT_EQ(RenderAll(result->rows), RenderAll(reference->rows))
+            << where;
+        EXPECT_EQ(result->exec_stats.predicate_evals,
+                  reference->exec_stats.predicate_evals)
+            << where;
       }
     }
   }

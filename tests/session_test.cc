@@ -2,13 +2,16 @@
 // independent settings over one shared engine core; the single
 // SessionState::Set path validates and clamps every knob (SQL SET and the
 // C++ API identically); the deprecated single-session Database shims keep
-// working; results carry session attribution; and the shared plan cache
-// serves repeated (prepared) statements with DDL/ANALYZE invalidation.
+// working; results carry session attribution; the shared plan cache
+// serves repeated (prepared) statements with DDL/ANALYZE invalidation; and
+// the multilingual selections plan the fused select exactly where they
+// can, with the filter scan's results and errors.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -441,6 +444,173 @@ TEST(SessionTest, LanguageRestrictedLexEqualRunsOnBatchedPsiScan) {
               std::string::npos)
         << limited->explain_analyze;
   }
+}
+
+// The plan lines of EXPLAIN `query` (planned, not executed), joined.
+std::string ExplainText(Session* session, const std::string& query,
+                        PlannerHints hints = PlannerHints()) {
+  auto explain = session->Sql("EXPLAIN " + query, hints);
+  EXPECT_TRUE(explain.ok()) << query;
+  std::string out;
+  if (!explain.ok()) return out;
+  for (const Row& row : explain->rows) out += row[0].ToString() + "\n";
+  return out;
+}
+
+TEST(SessionTest, SemEqualWithoutTaxonomyFailsIdentically) {
+  // No taxonomy pinned: the fused select and the opaque Filter(SeqScan)
+  // plan fail a non-empty scan with the same typed error.
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto session = (*db)->Connect();
+  ASSERT_TRUE(session.ok());
+  Session* s = session->get();
+  ASSERT_TRUE(
+      s->Sql("CREATE TABLE Book (BookID INT, Category UNITEXT)").ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE((*db)->Insert("Book", {Value::Int32(i),
+                                       i % 4 == 0 ? Value::Null()
+                                                  : Value::Uni("History",
+                                                               lang::kEnglish)})
+                    .ok());
+  }
+  ASSERT_TRUE(s->Sql("ANALYZE Book").ok());
+  const std::string query =
+      "SELECT count(*) FROM Book WHERE Category SemEQUAL 'History'@English";
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+  EXPECT_NE(ExplainText(s, query).find("SemSelect("), std::string::npos);
+  EXPECT_EQ(ExplainText(s, query, opaque).find("SemSelect("),
+            std::string::npos);
+
+  auto fused = s->Sql(query);
+  auto filtered = s->Sql(query, opaque);
+  ASSERT_FALSE(fused.ok());
+  ASSERT_FALSE(filtered.ok());
+  EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(fused.status().code(), filtered.status().code());
+  EXPECT_EQ(fused.status().message(), filtered.status().message());
+  EXPECT_NE(fused.status().message().find("SemEQUAL requires a taxonomy"),
+            std::string::npos)
+      << fused.status().ToString();
+}
+
+// A four-concept taxonomy (History > Biography > Autobiography, and the
+// Tamil Charitram equivalent to History) and a 60-row Book table whose
+// Category (UNITEXT) and Genre (TEXT) cycle through those concepts and
+// one unknown, with every 7th row NULL.
+StatusOr<std::unique_ptr<Session>> MakeCategoryBooks(Database* db) {
+  auto tax = std::make_unique<Taxonomy>();
+  const SynsetId history = tax->AddSynset(lang::kEnglish, "History");
+  const SynsetId biography = tax->AddSynset(lang::kEnglish, "Biography");
+  const SynsetId autobio = tax->AddSynset(lang::kEnglish, "Autobiography");
+  const SynsetId charitram = tax->AddSynset(lang::kTamil, "Charitram");
+  MURAL_RETURN_IF_ERROR(tax->AddIsA(biography, history));
+  MURAL_RETURN_IF_ERROR(tax->AddIsA(autobio, biography));
+  MURAL_RETURN_IF_ERROR(tax->AddEquivalence(history, charitram));
+  MURAL_RETURN_IF_ERROR(db->LoadTaxonomy(std::move(tax)));
+
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
+  MURAL_RETURN_IF_ERROR(session
+                            ->Sql("CREATE TABLE Book (BookID INT, Category "
+                                  "UNITEXT, Genre TEXT)")
+                            .status());
+  const std::pair<const char*, LangId> categories[] = {
+      {"History", lang::kEnglish},       {"Biography", lang::kEnglish},
+      {"Autobiography", lang::kEnglish}, {"Charitram", lang::kTamil},
+      {"Cooking", lang::kEnglish}};
+  for (int i = 0; i < 60; ++i) {
+    const auto& [text, lang_id] = categories[i % 5];
+    const bool null = i % 7 == 0;
+    MURAL_RETURN_IF_ERROR(
+        db->Insert("Book", {Value::Int32(i),
+                            null ? Value::Null() : Value::Uni(text, lang_id),
+                            null ? Value::Null() : Value::Text(text)}));
+  }
+  MURAL_RETURN_IF_ERROR(session->Sql("ANALYZE Book").status());
+  return session;
+}
+
+TEST(SessionTest, OmegaFormsOutsideTheKernelStayOnFilterScan) {
+  // The Omega kernel takes only `UNITEXT column SemEQUAL UniText
+  // constant`.  A constant on the LHS (Omega does not commute), a TEXT
+  // column, and the opaque_multilingual hint keep Filter(SeqScan), with
+  // the results (or the typed error) of the opaque plan.
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto session = MakeCategoryBooks(db->get());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Session* s = session->get();
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+
+  // The kernel form itself is fused, and the opaque hint turns it off.
+  const std::string kernel_form =
+      "SELECT BookID FROM Book WHERE Category SemEQUAL 'History'@English";
+  EXPECT_NE(ExplainText(s, kernel_form).find("SemSelect("),
+            std::string::npos);
+  const std::string opaque_plan = ExplainText(s, kernel_form, opaque);
+  EXPECT_EQ(opaque_plan.find("SemSelect("), std::string::npos);
+  EXPECT_NE(opaque_plan.find("SeqScan("), std::string::npos) << opaque_plan;
+  auto fused = s->Sql(kernel_form);
+  auto filtered = s->Sql(kernel_form, opaque);
+  ASSERT_TRUE(fused.ok());
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_EQ(RenderRows(fused->rows), RenderRows(filtered->rows));
+  EXPECT_FALSE(fused->rows.empty());
+
+  // Constant on the LHS: rows whose category's closure holds it.
+  const std::string constant_lhs =
+      "SELECT BookID FROM Book WHERE 'Autobiography'@English SemEQUAL "
+      "Category";
+  const std::string lhs_plan = ExplainText(s, constant_lhs);
+  EXPECT_EQ(lhs_plan.find("SemSelect("), std::string::npos) << lhs_plan;
+  EXPECT_NE(lhs_plan.find("Filter("), std::string::npos) << lhs_plan;
+  auto lhs = s->Sql(constant_lhs);
+  auto lhs_reference = s->Sql(constant_lhs, opaque);
+  ASSERT_TRUE(lhs.ok());
+  ASSERT_TRUE(lhs_reference.ok());
+  EXPECT_FALSE(lhs->rows.empty());
+  EXPECT_EQ(RenderRows(lhs->rows), RenderRows(lhs_reference->rows));
+
+  // A TEXT column: no kernel; both plans fail with the operand-type error.
+  const std::string text_column =
+      "SELECT BookID FROM Book WHERE Genre SemEQUAL 'History'@English";
+  const std::string text_plan = ExplainText(s, text_column);
+  EXPECT_EQ(text_plan.find("SemSelect("), std::string::npos) << text_plan;
+  EXPECT_NE(text_plan.find("Filter("), std::string::npos) << text_plan;
+  auto text = s->Sql(text_column);
+  auto text_reference = s->Sql(text_column, opaque);
+  ASSERT_FALSE(text.ok());
+  ASSERT_FALSE(text_reference.ok());
+  EXPECT_EQ(text.status().ToString(), text_reference.status().ToString());
+}
+
+TEST(SessionTest, PsiAndOmegaConjunctsRunOnThePsiKernel) {
+  // Psi before Omega in kernel choice: `Psi AND Omega` runs the Psi kernel
+  // with the Omega conjunct as its residual, with the opaque plan's rows.
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  auto session = MakeCategoryBooks(db->get());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Session* s = session->get();
+  const std::string query =
+      "SELECT BookID FROM Book WHERE Category SemEQUAL 'History'@English "
+      "AND Category LexEQUAL 'Biografy'@English THRESHOLD 2";
+  const std::string plan = ExplainText(s, query);
+  EXPECT_NE(plan.find("LexSelect(BOOK.CATEGORY LexEQUAL"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("residual CATEGORY SemEQUAL 'History'@English"),
+            std::string::npos)
+      << plan;
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+  auto fused = s->Sql(query);
+  auto reference = s->Sql(query, opaque);
+  ASSERT_TRUE(fused.ok());
+  ASSERT_TRUE(reference.ok());
+  EXPECT_FALSE(fused->rows.empty());
+  EXPECT_EQ(RenderRows(fused->rows), RenderRows(reference->rows));
 }
 
 }  // namespace
