@@ -162,13 +162,11 @@ BoundedMyersMatcher::BoundedMyersMatcher(std::string_view pattern, int k)
     blocks_ = (m + 63) / 64;
     peq_blocks_.resize(256 * blocks_);
     BuildBlockPeq(pattern_, blocks_, peq_blocks_.data());
-    pv_.resize(blocks_);
-    mv_.resize(blocks_);
   }
 }
 
 int BoundedMyersMatcher::Distance(std::string_view text,
-                                  DistanceStats* stats) {
+                                  DistanceStats* stats) const {
   // Mirrors BoundedDistanceCounted(pattern, text, k, stats) exactly —
   // same results, same counting rules — minus the per-call table build.
   if (k_ < 0) return 1;
@@ -181,11 +179,14 @@ int BoundedMyersMatcher::Distance(std::string_view text,
   if (n == 0) return static_cast<int>(m);  // m <= k_ here
 
   uint64_t words = 0;
-  const int d =
-      blocks_ == 0
-          ? OneWordColumns(peq_, m, text, k_, &words)
-          : BlockColumns(peq_blocks_.data(), blocks_, m, text, k_,
-                         pv_.data(), mv_.data(), &words);
+  int d;
+  if (blocks_ == 0) {
+    d = OneWordColumns(peq_, m, text, k_, &words);
+  } else {
+    std::vector<uint64_t> pv(blocks_), mv(blocks_);
+    d = BlockColumns(peq_blocks_.data(), blocks_, m, text, k_, pv.data(),
+                     mv.data(), &words);
+  }
   if (stats != nullptr) {
     stats->cells += words;
     stats->word_ops += words;

@@ -49,14 +49,15 @@ int MyersBlockLevenshtein(std::string_view a, std::string_view b);
 /// `BoundedDistanceCounted(pattern, text, k, stats)` (the distance is
 /// symmetric; word-op counts reflect the fixed pattern's block count
 /// rather than the shorter string's, which is the same thing whenever the
-/// bound admits a match).  Not thread-safe: the block form reuses member
-/// scratch across calls — clone per worker like any operator state.
+/// bound admits a match).  Distance() only reads the prepared tables, so
+/// one matcher may be shared by concurrent workers; the block form keeps
+/// its carry vectors on the call (patterns over 64 phonemes are rare).
 class BoundedMyersMatcher {
  public:
   BoundedMyersMatcher(std::string_view pattern, int k);
 
   /// Exact distance to `text` if <= k, else k+1.
-  int Distance(std::string_view text, DistanceStats* stats);
+  int Distance(std::string_view text, DistanceStats* stats) const;
 
  private:
   std::string pattern_;
@@ -64,7 +65,6 @@ class BoundedMyersMatcher {
   size_t blocks_ = 0;         // 0: pattern fits one word (peq_ is live)
   uint64_t peq_[256];         // one-word Peq, built iff blocks_ == 0
   std::vector<uint64_t> peq_blocks_;  // block Peq, 256 * blocks_ words
-  std::vector<uint64_t> pv_, mv_;     // block carry scratch, per call
 };
 
 }  // namespace mural

@@ -263,6 +263,17 @@ ExprPtr LangIn(ExprPtr operand, std::set<LangId> langs) {
   return std::make_shared<LangInExpr>(std::move(operand), std::move(langs));
 }
 
+void FlattenConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
+  if (const auto* logical = dynamic_cast<const LogicalExpr*>(expr.get())) {
+    if (logical->op() == LogicalOp::kAnd) {
+      FlattenConjuncts(logical->left(), out);
+      FlattenConjuncts(logical->right(), out);
+      return;
+    }
+  }
+  out->push_back(expr);
+}
+
 StatusOr<bool> EvalPredicate(const Expr& e, const Row& row,
                              ExecContext* ctx) {
   MURAL_ASSIGN_OR_RETURN(const Value v, e.Evaluate(row, ctx));

@@ -244,6 +244,9 @@ ExprPtr LexEq(ExprPtr l, ExprPtr r, int threshold = -1);
 ExprPtr SemEq(ExprPtr l, ExprPtr r);
 ExprPtr LangIn(ExprPtr operand, std::set<LangId> langs);
 
+/// Flattens an AND tree into its conjuncts, left to right.
+void FlattenConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out);
+
 /// Helper used by both the expression evaluator and physical operators:
 /// the phoneme string of a value (materialized if available, else
 /// transformed; TEXT values transform with the English rules).

@@ -8,6 +8,71 @@
 
 namespace mural {
 
+namespace {
+
+/// The page loop of the fused operators: walks heap pages [begin, end) of
+/// `table` through read guards and calls `visit(view, record)` for every
+/// live record whose `key_col` is not NULL, `view` peeked zero-copy from
+/// the page bytes (no per-record fetch, latch round-trip or copy).
+template <typename Visit>
+Status WalkHeapPages(const TableInfo& table, size_t key_col, size_t begin,
+                     size_t end, const Visit& visit) {
+  const std::vector<PageId>& pages = table.heap->pages();
+  BufferPool* pool = table.heap->pool();
+  for (size_t p = begin; p < end; ++p) {
+    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
+    const Page* page = guard.get();
+    for (SlotId s = 0; s < page->NumSlots(); ++s) {
+      StatusOr<Slice> record = page->Get(s);
+      if (!record.ok()) continue;  // tombstone
+      UniTextColumnView view;
+      MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
+          table.schema, record->ToStringView(), key_col, &view));
+      if (view.is_null) continue;  // NULL never matches (SQL WHERE)
+      MURAL_RETURN_IF_ERROR(visit(view, record->ToStringView()));
+    }
+  }
+  return Status::OK();
+}
+
+/// The phonemes of a peeked key: materialized ones in place, else G2P
+/// counted through the phoneme cache into `*scratch` (TEXT columns take
+/// the English rules).
+std::string_view KeyPhonemes(const UniTextColumnView& view, bool text_col,
+                             ExecContext* wctx, PhonemeString* scratch) {
+  if (view.has_phonemes) return view.phonemes;
+  *scratch = TransformPhonemesCounted(
+      view.text, text_col ? lang::kEnglish : view.lang, wctx);
+  return *scratch;
+}
+
+/// Runs `walk(begin, end, wctx, slot)` over [0, count) in morsels of
+/// `morsel_size` on up to `dop` strips of ctx->thread_pool.  Each morsel
+/// gets its own output slot and ExecContext::WorkerClone(); the clones'
+/// stats are merged into ctx (and `own`, when given) in morsel order, so
+/// slots and counters are the same at any DOP.
+template <typename Slot, typename Walk>
+StatusOr<std::vector<Slot>> RunMorsels(ExecContext* ctx, size_t count,
+                                       size_t morsel_size, int dop,
+                                       const Walk& walk,
+                                       ExecStats* own = nullptr) {
+  const size_t num_morsels = (count + morsel_size - 1) / morsel_size;
+  std::vector<Slot> slots(num_morsels);
+  std::vector<ExecContext> worker_ctxs(num_morsels, ctx->WorkerClone());
+  MURAL_RETURN_IF_ERROR(ParallelMorsels(
+      ctx->thread_pool, count, morsel_size, dop,
+      [&](size_t m, size_t begin, size_t end) {
+        return walk(begin, end, &worker_ctxs[m], &slots[m]);
+      }));
+  for (const ExecContext& wctx : worker_ctxs) {
+    ctx->stats.Merge(wctx.stats);
+    if (own != nullptr) own->Merge(wctx.stats);
+  }
+  return slots;
+}
+
+}  // namespace
+
 LexSelectOp::LexSelectOp(ExecContext* ctx, const TableInfo* table,
                          size_t key_col, Value probe, int threshold_override,
                          ExprPtr residual, int dop, size_t morsel_pages)
@@ -112,35 +177,22 @@ template <typename KeyTest>
 Status LexSelectOp::ScanPages(size_t begin, size_t end, ExecContext* wctx,
                               std::vector<Row>* out,
                               const KeyTest& matches) const {
-  // Records are matched in place from the page bytes under the page's
-  // read guard: no per-record fetch, latch round-trip, or copy.
-  const Schema& schema = table_->schema;
-  const std::vector<PageId>& pages = table_->heap->pages();
-  BufferPool* pool = table_->heap->pool();
-  for (size_t p = begin; p < end; ++p) {
-    MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard, pool->Fetch(pages[p]));
-    const Page* page = guard.get();
-    for (SlotId s = 0; s < page->NumSlots(); ++s) {
-      StatusOr<Slice> record = page->Get(s);
-      if (!record.ok()) continue;  // tombstone
-      UniTextColumnView view;
-      MURAL_RETURN_IF_ERROR(TupleCodec::PeekUniText(
-          schema, record->ToStringView(), key_col_, &view));
-      if (view.is_null) continue;  // NULL never matches (SQL WHERE)
-      ++wctx->stats.predicate_evals;
-      if (!matches(view, wctx)) continue;
-      Row row;
-      MURAL_RETURN_IF_ERROR(
-          TupleCodec::Deserialize(schema, record->ToStringView(), &row));
-      if (residual_ != nullptr) {
-        MURAL_ASSIGN_OR_RETURN(const bool pass,
-                               EvalPredicate(*residual_, row, wctx));
-        if (!pass) continue;
-      }
-      out->push_back(std::move(row));
-    }
-  }
-  return Status::OK();
+  return WalkHeapPages(
+      *table_, key_col_, begin, end,
+      [&](const UniTextColumnView& view, std::string_view record) -> Status {
+        ++wctx->stats.predicate_evals;
+        if (!matches(view, wctx)) return Status::OK();
+        Row row;
+        MURAL_RETURN_IF_ERROR(
+            TupleCodec::Deserialize(table_->schema, record, &row));
+        if (residual_ != nullptr) {
+          MURAL_ASSIGN_OR_RETURN(const bool pass,
+                                 EvalPredicate(*residual_, row, wctx));
+          if (!pass) return Status::OK();
+        }
+        out->push_back(std::move(row));
+        return Status::OK();
+      });
 }
 
 Status LexSelectOp::ScanMorsel(size_t begin, size_t end, ExecContext* wctx,
@@ -154,22 +206,14 @@ Status LexSelectOp::ScanMorsel(size_t begin, size_t end, ExecContext* wctx,
                               0;
                      });
   }
-  BoundedMyersMatcher matcher = *matcher_;  // per morsel: not thread-safe
   const bool text_col =
       table_->schema.column(key_col_).type == TypeId::kText;
+  PhonemeString scratch;
   return ScanPages(
       begin, end, wctx, out,
-      [this, &matcher, text_col](const UniTextColumnView& view,
-                                 ExecContext* w) {
-        const int d =
-            view.has_phonemes
-                ? matcher.Distance(view.phonemes, &w->stats.distance)
-                : matcher.Distance(
-                      TransformPhonemesCounted(
-                          view.text, text_col ? lang::kEnglish : view.lang,
-                          w),
-                      &w->stats.distance);
-        return d <= k_;
+      [&](const UniTextColumnView& view, ExecContext* w) {
+        return matcher_->Distance(KeyPhonemes(view, text_col, w, &scratch),
+                                  &w->stats.distance) <= k_;
       });
 }
 
@@ -182,27 +226,23 @@ StatusOr<bool> LexSelectOp::ScanNextMorsels() {
     // Serial scans stream one morsel at a time, so a LIMIT above stops
     // the scan early.  Parallel scans run every remaining morsel in one
     // phase: one barrier per query instead of one per `dop_` morsels
-    // (~8% faster at DOP 4 over 30k names on a 4-vCPU host).  Each
-    // morsel is scanned into its own slot with its own kernel state and
-    // context clone; the gather below concatenates slots and merges
-    // stats in morsel order (= page chain order = SeqScan order).
+    // (~8% faster at DOP 4 over 30k names on a 4-vCPU host).  Slots and
+    // stats are gathered in morsel order (= page chain order = SeqScan
+    // order).
     const size_t begin = next_page_;
     const size_t count =
         dop_ > 1 ? num_pages - begin
                  : std::min(num_pages - begin, morsel_pages_);
     next_page_ += count;
-    const size_t num_morsels = (count + morsel_pages_ - 1) / morsel_pages_;
-    std::vector<std::vector<Row>> slots(num_morsels);
-    std::vector<ExecContext> worker_ctxs(num_morsels, ctx_->WorkerClone());
-    MURAL_RETURN_IF_ERROR(ParallelMorsels(
-        ctx_->thread_pool, count, morsel_pages_, dop_,
-        [&](size_t m, size_t m_begin, size_t m_end) {
-          return ScanMorsel(begin + m_begin, begin + m_end, &worker_ctxs[m],
-                            &slots[m]);
-        }));
-    for (size_t m = 0; m < num_morsels; ++m) {
-      ctx_->stats.Merge(worker_ctxs[m].stats);
-      for (Row& r : slots[m]) matches_.push_back(std::move(r));
+    const auto scan = [&](size_t m_begin, size_t m_end, ExecContext* wctx,
+                          std::vector<Row>* slot) {
+      return ScanMorsel(begin + m_begin, begin + m_end, wctx, slot);
+    };
+    MURAL_ASSIGN_OR_RETURN(
+        std::vector<std::vector<Row>> slots,
+        RunMorsels<std::vector<Row>>(ctx_, count, morsel_pages_, dop_, scan));
+    for (std::vector<Row>& slot : slots) {
+      for (Row& r : slot) matches_.push_back(std::move(r));
     }
   }
   return true;
@@ -269,7 +309,12 @@ LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
       outer_col_(outer_col),
       inner_col_(inner_col),
       options_(options) {
-  Schema concat = Schema::Concat(outer_->output_schema(), inner_schema());
+  options_.morsel_pages = std::max<size_t>(1, options_.morsel_pages);
+  Schema concat = Schema::Concat(
+      outer_ != nullptr ? outer_->output_schema()
+                        : options_.outer_table->schema,
+      inner_ != nullptr ? inner_->output_schema()
+                        : options_.inner_table->schema);
   if (options_.tag_distance) {
     std::vector<Column> cols = concat.columns();
     cols.emplace_back("psi_distance", TypeId::kInt32);
@@ -280,288 +325,233 @@ LexJoinOp::LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner,
 }
 
 Status LexJoinOp::OpenImpl() {
-  MURAL_RETURN_IF_ERROR(outer_->Open());
-  inner_rows_.clear();
-  inner_phonemes_.clear();
-  inner_valid_.clear();
-  results_.clear();
-  result_pos_ = 0;
-  const int dop = options_.dop;
-  parallel_mode_ = dop > 1 && ctx_->thread_pool != nullptr;
-  if (inner_ == nullptr) {
-    // The build side is a bare table: build workers drain its heap
-    // through page-range morsels.
-    MURAL_RETURN_IF_ERROR(HeapBuild(dop));
-    outer_valid_ = false;
-    inner_pos_ = 0;
-    if (parallel_mode_) return OpenParallel(dop, /*build_done=*/true);
-    return Status::OK();
-  }
-  MURAL_RETURN_IF_ERROR(inner_->Open());
+  probe_ = ProbeSide();
+  next_page_ = 0;
+  gathered_ = MorselOut();
+  pair_pos_ = 0;
+  own_stats_.Reset();
+  k_ = options_.threshold >= 0 ? options_.threshold
+                               : ctx_->lexequal_threshold;
+  if (outer_ != nullptr) MURAL_RETURN_IF_ERROR(outer_->Open());
+  return DrainProbeSide();
+}
+
+Status LexJoinOp::DrainProbeSide() {
+  PhysicalOp* child = walks_outer() ? inner_.get() : outer_.get();
+  const size_t col = walks_outer() ? inner_col_ : outer_col_;
+  if (child != outer_.get()) MURAL_RETURN_IF_ERROR(child->Open());
+  // Phonemes are converted once per probe row (§4.2: the materialization
+  // avoids repeated conversions during join processing).
+  ExecContext dctx = ctx_->WorkerClone();
+  std::vector<std::pair<PhonemeString, size_t>> keys;  // (phonemes, row)
   Row row;
   while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, inner_->Next(&row));
+    MURAL_ASSIGN_OR_RETURN(const bool more, child->Next(&row));
     if (!more) break;
-    const Value& v = row[inner_col_];
-    if (v.is_null()) {
-      inner_phonemes_.emplace_back();
-      inner_valid_.push_back(false);
-    } else if (parallel_mode_) {
-      // Slot reserved here; filled by the parallel build in OpenParallel.
-      inner_phonemes_.emplace_back();
-      inner_valid_.push_back(true);
+    if (!row[col].is_null()) {
+      MURAL_ASSIGN_OR_RETURN(PhonemeString ph, PhonemesOf(row[col], &dctx));
+      keys.emplace_back(std::move(ph), probe_.rows.size());
+    }
+    probe_.rows.push_back(std::move(row));
+  }
+  MURAL_RETURN_IF_ERROR(child->Close());
+  ctx_->stats.Merge(dctx.stats);
+  own_stats_.Merge(dctx.stats);
+  std::stable_sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.first.size() < b.first.size();
+  });
+  for (const auto& [phonemes, probe_row] : keys) {
+    probe_.matchers.emplace_back(phonemes, k_);
+    probe_.lengths.push_back(phonemes.size());
+    probe_.row_of.push_back(probe_row);
+  }
+  num_matchers_ = probe_.matchers.size();
+  return Status::OK();
+}
+
+bool LexJoinOp::Probe(std::string_view key, ExecContext* wctx,
+                      MorselOut* out) const {
+  const size_t total = probe_.matchers.size();
+  wctx->stats.predicate_evals += total;
+  // A negative threshold admits no pair and counts no kernel call
+  // (BoundedDistanceCounted's convention).
+  if (k_ < 0) return false;
+  const size_t k = static_cast<size_t>(k_), n = key.size();
+  const std::vector<size_t>& lengths = probe_.lengths;
+  const size_t first = static_cast<size_t>(
+      std::lower_bound(lengths.begin(), lengths.end(), n > k ? n - k : 0) -
+      lengths.begin());
+  const size_t last = static_cast<size_t>(
+      std::upper_bound(lengths.begin(), lengths.end(), n + k) -
+      lengths.begin());
+  // Pairs outside the length window skip the kernel and are counted the
+  // way the matcher counts a length-rejected call.
+  wctx->stats.distance.calls += total - (last - first);
+  const size_t first_pair = out->pairs.size();
+  for (size_t i = first; i < last; ++i) {
+    const int d = probe_.matchers[i].Distance(key, &wctx->stats.distance);
+    if (d <= k_) {
+      out->pairs.push_back(Pair{out->walked.size(), probe_.row_of[i], d});
+    }
+  }
+  std::sort(out->pairs.begin() + first_pair, out->pairs.end(),
+            [](const Pair& a, const Pair& b) { return a.probe < b.probe; });
+  return out->pairs.size() > first_pair;
+}
+
+Status LexJoinOp::WalkPages(size_t begin, size_t end, ExecContext* wctx,
+                            MorselOut* out) const {
+  const TableInfo& table = *walked_table();
+  const bool text_col =
+      table.schema.column(walked_col()).type == TypeId::kText;
+  PhonemeString scratch;
+  return WalkHeapPages(
+      table, walked_col(), begin, end,
+      [&](const UniTextColumnView& view, std::string_view record) -> Status {
+        if (!Probe(KeyPhonemes(view, text_col, wctx, &scratch), wctx, out)) {
+          return Status::OK();
+        }
+        return TupleCodec::Deserialize(table.schema, record,
+                                       &out->walked.emplace_back());
+      });
+}
+
+Status LexJoinOp::WalkRows(size_t begin, size_t end, ExecContext* wctx,
+                           MorselOut* out) {
+  for (size_t i = begin; i < end; ++i) {
+    const Value& v = pulled_[i][outer_col_];
+    if (v.is_null()) continue;
+    MURAL_ASSIGN_OR_RETURN(const PhonemeString ph, PhonemesOf(v, wctx));
+    if (Probe(ph, wctx, out)) out->walked.push_back(std::move(pulled_[i]));
+  }
+  return Status::OK();
+}
+
+StatusOr<bool> LexJoinOp::WalkNextMorsels() {
+  gathered_ = MorselOut();
+  pair_pos_ = 0;
+  const TableInfo* table = walked_table();
+  // Parallel runs walk every remaining morsel in one phase, serial runs
+  // one morsel at a time.  A walked inner side is reordered outer-major,
+  // which needs all of it.
+  const bool one_phase = options_.dop > 1 || !walks_outer();
+  while (gathered_.pairs.empty()) {
+    if (probe_.matchers.empty()) return false;  // no non-NULL probe key
+    size_t begin = 0, count = 0, morsel = options_.morsel_pages;
+    if (table != nullptr) {
+      const size_t num_pages = table->heap->pages().size();
+      if (next_page_ >= num_pages) return false;
+      begin = next_page_;
+      count = one_phase ? num_pages - begin
+                        : std::min(num_pages - begin, morsel);
+      next_page_ += count;
     } else {
-      MURAL_ASSIGN_OR_RETURN(PhonemeString ph, PhonemesOf(v, ctx_));
-      inner_phonemes_.push_back(std::move(ph));
-      inner_valid_.push_back(true);
+      // Children are not thread-safe: rows are pulled here, then walked.
+      morsel *= kRowsPerPage;
+      pulled_.clear();
+      Row row;
+      while (one_phase || pulled_.size() < morsel) {
+        MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&row));
+        if (!more) break;
+        pulled_.push_back(std::move(row));
+      }
+      if (pulled_.empty()) return false;
+      count = pulled_.size();
     }
-    inner_rows_.push_back(row);
+    const auto walk = [&](size_t m_begin, size_t m_end, ExecContext* wctx,
+                          MorselOut* out) {
+      return table != nullptr
+                 ? WalkPages(begin + m_begin, begin + m_end, wctx, out)
+                 : WalkRows(m_begin, m_end, wctx, out);
+    };
+    MURAL_ASSIGN_OR_RETURN(
+        std::vector<MorselOut> slots,
+        RunMorsels<MorselOut>(ctx_, count, morsel, options_.dop, walk,
+                              &own_stats_));
+    for (MorselOut& slot : slots) {
+      for (Pair& pair : slot.pairs) pair.walked += gathered_.walked.size();
+      gathered_.pairs.insert(gathered_.pairs.end(), slot.pairs.begin(),
+                             slot.pairs.end());
+      for (Row& r : slot.walked) gathered_.walked.push_back(std::move(r));
+    }
   }
-  MURAL_RETURN_IF_ERROR(inner_->Close());
-  outer_valid_ = false;
-  inner_pos_ = 0;
-  if (parallel_mode_) return OpenParallel(dop, /*build_done=*/false);
-  return Status::OK();
+  if (!walks_outer()) {
+    std::stable_sort(gathered_.pairs.begin(), gathered_.pairs.end(),
+                     [](const Pair& a, const Pair& b) {
+                       return a.probe < b.probe;
+                     });
+  }
+  return true;
 }
 
-Status LexJoinOp::HeapBuild(int dop) {
-  // Page-range morsels over the inner table's heap: each worker fetches
-  // its pages through read guards, deserializes, and converts phonemes
-  // into a private slot; the gather concatenates slots in morsel order
-  // (= page chain order), which is exactly the serial drain order.
-  struct BuildSlot {
-    std::vector<Row> rows;
-    std::vector<PhonemeString> phonemes;
-    std::vector<bool> valid;
-  };
-  const TableInfo* table = options_.inner_table;
-  const HeapFile* heap = table->heap.get();
-  BufferPool* pool = heap->pool();
-  const std::vector<PageId>& pages = heap->pages();
-  const size_t n = pages.size();
-  const size_t morsel = std::max<size_t>(1, options_.build_morsel_pages);
-  const size_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
-  std::vector<BuildSlot> slots(num_morsels);
-  std::vector<ExecContext> build_ctxs(num_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, n, morsel, dop,
-      [this, table, pool, &pages, &slots, &build_ctxs](
-          size_t m, size_t begin, size_t end) {
-        ExecContext* wctx = &build_ctxs[m];
-        BuildSlot* slot = &slots[m];
-        Row row;
-        for (size_t p = begin; p < end; ++p) {
-          MURAL_ASSIGN_OR_RETURN(const ReadPageGuard guard,
-                                 pool->Fetch(pages[p]));
-          const Page* page = guard.get();
-          for (SlotId s = 0; s < page->NumSlots(); ++s) {
-            StatusOr<Slice> record = page->Get(s);
-            if (!record.ok()) continue;  // tombstone
-            MURAL_RETURN_IF_ERROR(TupleCodec::Deserialize(
-                table->schema, record->ToStringView(), &row));
-            const Value& v = row[inner_col_];
-            if (v.is_null()) {
-              slot->phonemes.emplace_back();
-              slot->valid.push_back(false);
-            } else {
-              MURAL_ASSIGN_OR_RETURN(PhonemeString ph, PhonemesOf(v, wctx));
-              slot->phonemes.push_back(std::move(ph));
-              slot->valid.push_back(true);
-            }
-            slot->rows.push_back(row);
-          }
-        }
-        return Status::OK();
-      }));
-  size_t total = 0;
-  for (const BuildSlot& slot : slots) total += slot.rows.size();
-  inner_rows_.reserve(total);
-  inner_phonemes_.reserve(total);
-  inner_valid_.reserve(total);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    ctx_->stats.Merge(build_ctxs[m].stats);
-    cache_hits_ += build_ctxs[m].stats.phoneme_cache_hits;
-    cache_misses_ += build_ctxs[m].stats.phoneme_cache_misses;
-    for (Row& r : slots[m].rows) inner_rows_.push_back(std::move(r));
-    for (PhonemeString& ph : slots[m].phonemes) {
-      inner_phonemes_.push_back(std::move(ph));
-    }
-    for (const bool v : slots[m].valid) inner_valid_.push_back(v);
+void LexJoinOp::EmitNextPair(Row* out) {
+  const Pair& pair = gathered_.pairs[pair_pos_++];
+  const Row& walked = gathered_.walked[pair.walked];
+  const Row& probe = probe_.rows[pair.probe];
+  out->clear();
+  out->reserve(schema_.NumColumns());
+  for (const Row* side : {walks_outer() ? &walked : &probe,
+                          walks_outer() ? &probe : &walked}) {
+    out->insert(out->end(), side->begin(), side->end());
   }
-  return Status::OK();
-}
-
-Status LexJoinOp::OpenParallel(int dop, bool build_done) {
-  const int k = options_.threshold >= 0 ? options_.threshold
-                                        : ctx_->lexequal_threshold;
-  const size_t morsel = std::max<size_t>(1, options_.morsel_size);
-
-  // Build phase: convert the materialized inner side's phonemes in
-  // parallel.  Morsels own disjoint index ranges, so the writes to
-  // inner_phonemes_ slots never alias; each morsel gets its own context
-  // clone so stats accumulation is race-free (merged below, in order).
-  // Skipped when the heap build already converted during its drain.
-  const size_t n_inner = inner_rows_.size();
-  const size_t build_morsels =
-      build_done || n_inner == 0 ? 0 : (n_inner + morsel - 1) / morsel;
-  std::vector<ExecContext> build_ctxs(build_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, build_done ? 0 : n_inner, morsel, dop,
-      [this, &build_ctxs](size_t m, size_t begin, size_t end) {
-        ExecContext* wctx = &build_ctxs[m];
-        for (size_t i = begin; i < end; ++i) {
-          if (!inner_valid_[i]) continue;
-          MURAL_ASSIGN_OR_RETURN(inner_phonemes_[i],
-                                 PhonemesOf(inner_rows_[i][inner_col_], wctx));
-        }
-        return Status::OK();
-      }));
-
-  // Drain the outer side serially (children are not thread-safe).
-  std::vector<Row> outer_rows;
-  Row row;
-  while (true) {
-    MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&row));
-    if (!more) break;
-    outer_rows.push_back(row);
-  }
-
-  // Probe phase: each outer morsel joins against the whole inner side into
-  // its own result slot.  The outer row's phonemes are computed once per
-  // row (hoisted) through the shared cache.
-  const size_t n_outer = outer_rows.size();
-  const size_t probe_morsels =
-      n_outer == 0 ? 0 : (n_outer + morsel - 1) / morsel;
-  std::vector<std::vector<Row>> slots(probe_morsels);
-  std::vector<ExecContext> probe_ctxs(probe_morsels, ctx_->WorkerClone());
-  MURAL_RETURN_IF_ERROR(ParallelMorsels(
-      ctx_->thread_pool, n_outer, morsel, dop,
-      [this, k, &outer_rows, &slots, &probe_ctxs](size_t m, size_t begin,
-                                                  size_t end) {
-        ExecContext* wctx = &probe_ctxs[m];
-        std::vector<Row>* slot = &slots[m];
-        for (size_t o = begin; o < end; ++o) {
-          const Value& v = outer_rows[o][outer_col_];
-          if (v.is_null()) continue;
-          MURAL_ASSIGN_OR_RETURN(const PhonemeString outer_ph,
-                                 PhonemesOf(v, wctx));
-          for (size_t i = 0; i < inner_rows_.size(); ++i) {
-            if (!inner_valid_[i]) continue;
-            ++wctx->stats.predicate_evals;
-            const int d = BoundedDistanceCounted(
-                outer_ph, inner_phonemes_[i], k, &wctx->stats.distance);
-            if (d > k) continue;
-            Row out;
-            out.reserve(schema_.NumColumns());
-            out.insert(out.end(), outer_rows[o].begin(), outer_rows[o].end());
-            out.insert(out.end(), inner_rows_[i].begin(),
-                       inner_rows_[i].end());
-            if (options_.tag_distance) out.push_back(Value::Int32(d));
-            slot->push_back(std::move(out));
-          }
-        }
-        return Status::OK();
-      }));
-
-  // Gather: merge stats and flatten slots in morsel-index order, which is
-  // exactly the serial emission order (outer order x inner order).
-  for (const ExecContext& wctx : build_ctxs) {
-    ctx_->stats.Merge(wctx.stats);
-    cache_hits_ += wctx.stats.phoneme_cache_hits;
-    cache_misses_ += wctx.stats.phoneme_cache_misses;
-  }
-  size_t total = 0;
-  for (const std::vector<Row>& slot : slots) total += slot.size();
-  results_.reserve(total);
-  for (size_t m = 0; m < probe_morsels; ++m) {
-    ctx_->stats.Merge(probe_ctxs[m].stats);
-    cache_hits_ += probe_ctxs[m].stats.phoneme_cache_hits;
-    cache_misses_ += probe_ctxs[m].stats.phoneme_cache_misses;
-    for (Row& r : slots[m]) results_.push_back(std::move(r));
-  }
-  return Status::OK();
+  if (options_.tag_distance) out->push_back(Value::Int32(pair.distance));
 }
 
 StatusOr<bool> LexJoinOp::NextImpl(Row* out) {
-  if (parallel_mode_) {
-    if (result_pos_ >= results_.size()) return false;
-    *out = results_[result_pos_++];
-    CountRow();
-    return true;
+  if (pair_pos_ == gathered_.pairs.size()) {
+    MURAL_ASSIGN_OR_RETURN(const bool more, WalkNextMorsels());
+    if (!more) return false;
   }
-  const int k = options_.threshold >= 0 ? options_.threshold
-                                        : ctx_->lexequal_threshold;
-  while (true) {
-    if (!outer_valid_) {
-      MURAL_ASSIGN_OR_RETURN(const bool more, outer_->Next(&outer_row_));
-      if (!more) return false;
-      const Value& v = outer_row_[outer_col_];
-      outer_null_ = v.is_null();
-      if (!outer_null_) {
-        MURAL_ASSIGN_OR_RETURN(outer_phonemes_, PhonemesOf(v, ctx_));
-      }
-      outer_valid_ = true;
-      inner_pos_ = 0;
+  EmitNextPair(out);
+  CountRow();
+  return true;
+}
+
+StatusOr<bool> LexJoinOp::NextBatchImpl(RowBatch* out) {
+  while (!out->full()) {
+    if (pair_pos_ == gathered_.pairs.size()) {
+      MURAL_ASSIGN_OR_RETURN(const bool more, WalkNextMorsels());
+      if (!more) break;
     }
-    if (outer_null_) {
-      outer_valid_ = false;
-      continue;
-    }
-    while (inner_pos_ < inner_rows_.size()) {
-      const size_t i = inner_pos_++;
-      if (!inner_valid_[i]) continue;
-      ++ctx_->stats.predicate_evals;
-      const int d = BoundedDistanceCounted(
-          outer_phonemes_, inner_phonemes_[i], k, &ctx_->stats.distance);
-      if (d > k) continue;
-      out->clear();
-      out->reserve(schema_.NumColumns());
-      out->insert(out->end(), outer_row_.begin(), outer_row_.end());
-      out->insert(out->end(), inner_rows_[i].begin(), inner_rows_[i].end());
-      if (options_.tag_distance) out->push_back(Value::Int32(d));
-      CountRow();
-      return true;
-    }
-    outer_valid_ = false;
+    EmitNextPair(out->PushRow());
   }
+  CountRows(out->num_selected());
+  return !out->empty();
 }
 
 Status LexJoinOp::CloseImpl() {
-  inner_rows_.clear();
-  inner_phonemes_.clear();
-  inner_valid_.clear();
-  results_.clear();
-  result_pos_ = 0;
-  const Status outer_st = outer_->Close();
-  // No-op unless Open failed mid-drain.
-  const Status inner_st =
-      inner_ != nullptr ? inner_->Close() : Status::OK();
+  probe_ = ProbeSide();
+  pulled_.clear();
+  gathered_ = MorselOut();
+  // The probe child is closed by Open; closing it again is a no-op unless
+  // Open failed mid-drain.
+  const Status outer_st = outer_ != nullptr ? outer_->Close() : Status::OK();
+  const Status inner_st = inner_ != nullptr ? inner_->Close() : Status::OK();
   MURAL_RETURN_IF_ERROR(outer_st);
   return inner_st;
 }
 
 std::string LexJoinOp::DisplayName() const {
-  // A heap-built inner side is a leaf attribute of the join, not a child:
-  // it is named here as table.column.
-  const std::string inner_name =
-      (inner_ != nullptr ? "" : options_.inner_table->name + ".") +
-      inner_schema().column(inner_col_).name;
+  // A walked table is a leaf attribute of the join, not a child: its key
+  // is named table.column.  The matcher count and cache counters are set
+  // by Open; EXPLAIN ANALYZE re-renders this name after execution.
+  const auto key = [](const PhysicalOp* child, const TableInfo* table,
+                      size_t col) {
+    return child != nullptr
+               ? child->output_schema().column(col).name
+               : table->name + "." + table->schema.column(col).name;
+  };
   std::string name = StringFormat(
-      "LexJoin(%s ~ %s, t=%d%s",
-      outer_->output_schema().column(outer_col_).name.c_str(),
-      inner_name.c_str(),
-      options_.threshold >= 0 ? options_.threshold
-                              : ctx_->lexequal_threshold,
-      options_.tag_distance ? ", tagged" : "");
-  if (options_.dop > 1) {
-    // Cache counters go live after Open; EXPLAIN ANALYZE re-renders this
-    // name so they show up like the closure-cache stats do.
-    name += StringFormat(", dop=%d, cache h=%llu m=%llu", options_.dop,
-                         static_cast<unsigned long long>(cache_hits_),
-                         static_cast<unsigned long long>(cache_misses_));
-  }
-  name += ")";
-  return name;
+      "LexJoin(%s ~ %s, t=%d%s, matchers=%s, cache h=%llu m=%llu",
+      key(outer_.get(), options_.outer_table, outer_col_).c_str(),
+      key(inner_.get(), options_.inner_table, inner_col_).c_str(),
+      options_.threshold >= 0 ? options_.threshold : ctx_->lexequal_threshold,
+      options_.tag_distance ? ", tagged" : "",
+      num_matchers_ ? std::to_string(*num_matchers_).c_str() : "?",
+      static_cast<unsigned long long>(own_stats_.phoneme_cache_hits),
+      static_cast<unsigned long long>(own_stats_.phoneme_cache_misses));
+  if (options_.dop > 1) name += StringFormat(", dop=%d", options_.dop);
+  return name + StringFormat(", batch=%zu)", ctx_->batch_size);
 }
 
 SemJoinOp::SemJoinOp(ExecContext* ctx, OpPtr lhs_child, OpPtr rhs_child,

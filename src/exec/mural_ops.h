@@ -1,10 +1,18 @@
 // Physical operators for the multilingual algebra (paper §3.2, §4):
 //
+//  - LexSelectOp: the fused multilingual select (Psi or Omega against a
+//    constant), a page-wise, morsel-parallel heap walk with late
+//    materialization.
+//
 //  - LexJoinOp (Psi join): phoneme-space approximate join.  The algebraic
 //    Psi tags every pair of the Cartesian product with the phonemic edit
 //    distance; this operator folds in the threshold selection (as every
 //    query in the paper does) and optionally emits the distance as an
-//    extra column for downstream operators.
+//    extra column for downstream operators.  It shares LexSelectOp's page
+//    loop, morsels and gather: one side is drained into one prepared
+//    matcher per phoneme string, the other walked page-wise (row-wise
+//    when it is not a bare table), with rows and order equal to the
+//    tuple-wise nested loop at any DOP.
 //
 //  - SemJoinOp (Omega join): taxonomy-subsumption join.  Implements the
 //    optimizations of §4.3: the RHS operand drives the (outer) loop so one
@@ -56,8 +64,8 @@ namespace mural {
 /// The heap is walked page-wise over its chain-order page directory, one
 /// read guard per page, in page-range morsels on the ParallelMorsels
 /// scheduler (serially one morsel at a time, or all at once on `dop`
-/// workers), each with its own kernel state (the Psi matcher is not
-/// thread-safe; the Omega key set is read-only and shared) and its own
+/// workers), sharing the read-only kernel state (the prepared Psi
+/// matcher, the Omega key set), each with its own
 /// ExecContext::WorkerClone(), gathered in morsel order.  Rows, their
 /// order, and the effort counters are therefore the same at any DOP, and
 /// the tuple and batch protocols replay the same gathered matches.
@@ -155,79 +163,128 @@ struct LexJoinOptions {
   int threshold = -1;
   /// Append an INT column "psi_distance" with the pair's distance.
   bool tag_distance = false;
-  /// Degree of parallelism for the build/probe phases.  > 1 (with a
-  /// thread pool in the context) switches to the morsel-parallel path:
-  /// inner phoneme construction and outer probing run as morsels on the
-  /// pool, gathered in morsel order so output order is identical to the
-  /// serial path.
+  /// > 1 runs every morsel in one phase on ctx->thread_pool (inline
+  /// without one); 1 streams one morsel at a time.
   int dop = 1;
-  /// Rows per morsel in the parallel phases (tests shrink this to force
-  /// multi-morsel execution on small inputs).
-  size_t morsel_size = 2048;
-  /// When the inner input is a bare table scan, the planner passes the
-  /// table here instead of an inner child operator: build workers claim
-  /// page-range morsels over the heap and drain it through read guards
-  /// (deserialize + G2P per morsel), gathered in chain order so the build
-  /// side is bit-identical to a serial drain.  nullptr: drain the inner
-  /// child.
+  /// Heap pages per morsel of a walked table (mirrors
+  /// LexSelectOp::kMorselPages); a walked child is cut into morsels of
+  /// morsel_pages * LexJoinOp::kRowsPerPage rows.  Tests shrink it to
+  /// force multi-morsel runs at unit scale.
+  size_t morsel_pages = LexSelectOp::kMorselPages;
+  /// At most one side may be a bare table instead of a child operator
+  /// (planner-provided): its heap is walked page-wise through read
+  /// guards, and the table is a leaf attribute named in EXPLAIN.
+  const TableInfo* outer_table = nullptr;
   const TableInfo* inner_table = nullptr;
-  /// Heap pages per build morsel when `inner_table` drives the build.
-  size_t build_morsel_pages = 4;
 };
 
+/// The batched Psi join.  One side is the probe side: it is drained once
+/// into its rows plus one prepared BoundedMyersMatcher per non-NULL
+/// phoneme string (the Peq table is built once per probe value, not once
+/// per pair), kept in length order.  The other side is walked in morsels
+/// on the ParallelMorsels scheduler, each with its own context clone,
+/// sharing the read-only matchers:
+///
+///  - the inner side is walked when it is a table (`inner_table`);
+///  - otherwise the outer side is: its heap through read guards when it
+///    is a table (`outer_table`), else the rows pulled from its child.
+///
+/// Per walked record the key is peeked zero-copy (materialized phonemes,
+/// or G2P through the phoneme cache), only the matchers whose length is
+/// within k of the key's run, and the record is deserialized on its first
+/// match only.  The gather is in morsel order and pairs are kept in
+/// outer-major, inner-minor order (a walked inner side is reordered), so
+/// rows and their order equal the tuple-wise nested loop at any DOP.
+/// predicate_evals and distance.calls count every non-NULL pair, as
+/// Filter(NestedLoop, LexEQUAL) does: length-skipped pairs are counted in
+/// bulk, the way BoundedMyersMatcher counts a length-rejected call.
+/// Serial runs that walk the outer side stream one morsel at a time, so a
+/// LIMIT above stops early; a walked inner side completes in one phase.
 class LexJoinOp : public PhysicalOp {
  public:
   using Options = LexJoinOptions;
 
-  /// `inner` is null exactly when `options.inner_table` drives the build.
+  /// Rows per morsel page when the walked side is a child operator: about
+  /// one heap page of name rows.
+  static constexpr size_t kRowsPerPage = 128;
+
+  /// `outer` (`inner`) is null exactly when options.outer_table
+  /// (options.inner_table) stands for that side.
   LexJoinOp(ExecContext* ctx, OpPtr outer, OpPtr inner, size_t outer_col,
             size_t inner_col, Options options = Options());
 
   [[nodiscard]] Status OpenImpl() override;
   [[nodiscard]] StatusOr<bool> NextImpl(Row* out) override;
+  [[nodiscard]] StatusOr<bool> NextBatchImpl(RowBatch* out) override;
   [[nodiscard]] Status CloseImpl() override;
   const Schema& output_schema() const override { return schema_; }
   std::string DisplayName() const override;
   std::vector<const PhysicalOp*> Children() const override {
-    if (inner_ == nullptr) return {outer_.get()};
-    return {outer_.get(), inner_.get()};
+    std::vector<const PhysicalOp*> children;
+    if (outer_ != nullptr) children.push_back(outer_.get());
+    if (inner_ != nullptr) children.push_back(inner_.get());
+    return children;
   }
 
  private:
-  const Schema& inner_schema() const {
-    return inner_ != nullptr ? inner_->output_schema()
-                             : options_.inner_table->schema;
-  }
+  /// A result pair, before its row is assembled.
+  struct Pair {
+    size_t walked;  // index into MorselOut::walked
+    size_t probe;   // index into ProbeSide::rows
+    int distance;
+  };
+  /// One morsel's output (and the gather of the current morsels): the
+  /// walked rows with at least one match, and their pairs in walked order,
+  /// probe order within a walked row.
+  struct MorselOut {
+    std::vector<Row> walked;
+    std::vector<Pair> pairs;
+  };
+  /// The drained probe side: its rows, and the matchers of its non-NULL
+  /// keys sorted by (length, row); lengths[i] and row_of[i] describe
+  /// matchers[i].
+  struct ProbeSide {
+    std::vector<Row> rows;
+    std::vector<BoundedMyersMatcher> matchers;
+    std::vector<size_t> lengths;
+    std::vector<size_t> row_of;
+  };
 
-  /// `build_done` skips the phoneme build phase (HeapBuild already
-  /// produced inner_phonemes_ during its heap drain).
-  [[nodiscard]] Status OpenParallel(int dop, bool build_done);
-  [[nodiscard]] Status HeapBuild(int dop);
+  bool walks_outer() const { return options_.inner_table == nullptr; }
+  const TableInfo* walked_table() const {
+    return walks_outer() ? options_.outer_table : options_.inner_table;
+  }
+  size_t walked_col() const { return walks_outer() ? outer_col_ : inner_col_; }
+
+  [[nodiscard]] Status DrainProbeSide();
+  /// Appends to `out` the pairs of `key` (the walked row about to be
+  /// `out->walked.size()`), in probe order; true when there are any.
+  bool Probe(std::string_view key, ExecContext* wctx, MorselOut* out) const;
+  /// Walks heap pages [begin, end) of the walked table.
+  [[nodiscard]] Status WalkPages(size_t begin, size_t end, ExecContext* wctx,
+                                 MorselOut* out) const;
+  /// Walks pulled_[begin, end), moving matched rows out.
+  [[nodiscard]] Status WalkRows(size_t begin, size_t end, ExecContext* wctx,
+                                MorselOut* out);
+  /// Refills gathered_ from the next morsels; false once the walked side
+  /// is exhausted.
+  [[nodiscard]] StatusOr<bool> WalkNextMorsels();
+  /// Assembles the output row of the next gathered pair.
+  void EmitNextPair(Row* out);
 
   OpPtr outer_, inner_;
   size_t outer_col_, inner_col_;
   Options options_;
   Schema schema_;
 
-  // Materialized inner side with precomputed phoneme strings (§4.2: the
-  // materialization avoids repeated conversions during join processing).
-  std::vector<Row> inner_rows_;
-  std::vector<PhonemeString> inner_phonemes_;
-  std::vector<bool> inner_valid_;
-
-  Row outer_row_;
-  PhonemeString outer_phonemes_;
-  bool outer_valid_ = false;
-  bool outer_null_ = false;
-  size_t inner_pos_ = 0;
-
-  // Parallel (dop > 1) path: the join result is computed during Open and
-  // replayed by Next in deterministic (serial-identical) order.
-  bool parallel_mode_ = false;
-  std::vector<Row> results_;
-  size_t result_pos_ = 0;
-  uint64_t cache_hits_ = 0;    // phoneme-cache lookups by this operator
-  uint64_t cache_misses_ = 0;
+  int k_ = 0;  // effective threshold, resolved at Open
+  ProbeSide probe_;
+  std::optional<size_t> num_matchers_;  // once Open drained the probe side
+  size_t next_page_ = 0;     // first heap page not yet walked
+  std::vector<Row> pulled_;  // walked child rows of the current morsels
+  MorselOut gathered_;       // replayed by Next*
+  size_t pair_pos_ = 0;
+  ExecStats own_stats_;      // this operator's share, for the cache counters
 };
 
 /// Omega join: emits outer x inner pairs where the LHS value is subsumed

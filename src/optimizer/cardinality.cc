@@ -64,13 +64,12 @@ double CardinalityEstimator::PsiJoinSelectivity(const ColumnStats& left,
 double CardinalityEstimator::OmegaClosureSize(const Value* constant) const {
   if (taxonomy_ != nullptr && constant != nullptr &&
       constant->type() == TypeId::kUniText) {
+    // Exact: |TC(c)| (closures are cheap on the pinned hierarchy).  A
+    // constant with no roots has an empty closure: nothing matches it.
     const std::vector<SynsetId> roots =
         taxonomy_->Lookup(constant->unitext());
-    if (!roots.empty()) {
-      // Exact: |TC(c)| (closures are cheap on the pinned hierarchy).
-      return static_cast<double>(
-          taxonomy_->TransitiveClosureOfAll(roots).size());
-    }
+    return static_cast<double>(
+        taxonomy_->TransitiveClosureOfAll(roots).size());
   }
   if (taxonomy_ != nullptr) {
     // Structural heuristic: f^h of an average-depth subtree.  A node
@@ -148,6 +147,77 @@ double CardinalityEstimator::EquiJoinSelectivity(
   return Clamp(1.0 / ndv);
 }
 
+namespace {
+
+/// Matches `col OP literal` with OP a range bound; `*lower` is true for
+/// `>` and `>=`.
+bool MatchBound(const Expr& expr, size_t* col, Value* bound, bool* lower) {
+  const auto* cmp = dynamic_cast<const ComparisonExpr*>(&expr);
+  if (cmp == nullptr) return false;
+  const auto* ref = dynamic_cast<const ColumnRefExpr*>(cmp->left().get());
+  const auto* lit = dynamic_cast<const LiteralExpr*>(cmp->right().get());
+  if (ref == nullptr || lit == nullptr) return false;
+  switch (cmp->op()) {
+    case CompareOp::kGt:
+    case CompareOp::kGe:
+      *lower = true;
+      break;
+    case CompareOp::kLt:
+    case CompareOp::kLe:
+      *lower = false;
+      break;
+    default:
+      return false;
+  }
+  *col = ref->index();
+  *bound = lit->value();
+  return true;
+}
+
+}  // namespace
+
+std::optional<double> CardinalityEstimator::RangeConjunctionSelectivity(
+    const LogicalExpr& conjunction, const TableStats& table,
+    const Schema& schema, ExecContext* ctx) const {
+  std::vector<ExprPtr> conjuncts;
+  FlattenConjuncts(conjunction.left(), &conjuncts);
+  FlattenConjuncts(conjunction.right(), &conjuncts);
+  std::vector<bool> done(conjuncts.size(), false);
+  double sel = 1.0;
+  bool paired = false;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    size_t col;
+    Value lo;
+    bool lower;
+    if (!MatchBound(*conjuncts[i], &col, &lo, &lower) || !lower ||
+        col >= schema.NumColumns()) {
+      continue;
+    }
+    const ColumnStats* cs = table.Column(schema.column(col).name);
+    if (cs == nullptr) continue;
+    for (size_t j = 0; j < conjuncts.size(); ++j) {
+      size_t hi_col;
+      Value hi;
+      bool hi_lower;
+      if (done[j] || j == i ||
+          !MatchBound(*conjuncts[j], &hi_col, &hi, &hi_lower) || hi_lower ||
+          hi_col != col) {
+        continue;
+      }
+      sel *= RangeSelectivity(*cs, lo, hi);
+      done[i] = done[j] = true;
+      paired = true;
+      break;
+    }
+  }
+  if (!paired) return std::nullopt;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (done[i]) continue;
+    sel *= PredicateSelectivity(*conjuncts[i], table, schema, ctx);
+  }
+  return Clamp(sel);
+}
+
 double CardinalityEstimator::PredicateSelectivity(const Expr& expr,
                                                   const TableStats& table,
                                                   const Schema& schema,
@@ -155,6 +225,9 @@ double CardinalityEstimator::PredicateSelectivity(const Expr& expr,
   if (const auto* logical = dynamic_cast<const LogicalExpr*>(&expr)) {
     switch (logical->op()) {
       case LogicalOp::kAnd: {
+        const std::optional<double> ranged =
+            RangeConjunctionSelectivity(*logical, table, schema, ctx);
+        if (ranged.has_value()) return *ranged;
         // Conjunction: independence assumption.
         const double l = PredicateSelectivity(*logical->left(), table,
                                               schema, ctx);

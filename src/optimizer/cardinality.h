@@ -12,6 +12,8 @@
 
 #pragma once
 
+#include <optional>
+
 #include "exec/exec_context.h"
 #include "exec/expression.h"
 #include "optimizer/stats.h"
@@ -77,7 +79,8 @@ class CardinalityEstimator {
                              const ColumnStats& right) const;
 
   /// Walks a predicate over a single table's columns and estimates its
-  /// combined selectivity (independence assumed across conjuncts).
+  /// combined selectivity (independence assumed across conjuncts, except
+  /// that a lower and an upper bound on one column are one range).
   double PredicateSelectivity(const Expr& expr, const TableStats& table,
                               const Schema& schema, ExecContext* ctx) const;
 
@@ -86,6 +89,14 @@ class CardinalityEstimator {
 
  private:
   double Clamp(double sel) const;
+
+  /// The selectivity of an AND tree that bounds some column from below
+  /// and above (`c >= lo AND c < hi`): each such pair estimated as one
+  /// RangeSelectivity, the other conjuncts as independent.  nullopt when
+  /// the tree has no such pair.
+  std::optional<double> RangeConjunctionSelectivity(
+      const LogicalExpr& conjunction, const TableStats& table,
+      const Schema& schema, ExecContext* ctx) const;
 
   const StatsCatalog* stats_;
   const Taxonomy* taxonomy_;

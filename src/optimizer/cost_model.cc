@@ -96,9 +96,22 @@ Cost CostModel::HashJoin(const RelProfile& outer,
 }
 
 Cost CostModel::PsiJoinNoIndex(const RelProfile& left,
-                               const RelProfile& right, int k) const {
+                               const RelProfile& right, int k,
+                               size_t batch_size) const {
   const double len = std::max(left.avg_len, right.avg_len);
-  return NestedLoopJoin(left, right, DistanceEvalCost(k, len));
+  if (batch_size == 0) {
+    return NestedLoopJoin(left, right, DistanceEvalCost(k, len));
+  }
+  // The smaller side is drained once into prepared matchers; the larger
+  // one is walked at the batch row rate, and a pair pays only the kernel.
+  const bool left_walked = left.rows >= right.rows;
+  const RelProfile& walked = left_walked ? left : right;
+  const RelProfile& drained = left_walked ? right : left;
+  Cost c = ScanRows(walked, batch_size);
+  c.io += drained.pages * params_.seq_page_cost;
+  c.cpu += drained.rows * params_.cpu_tuple_cost +
+           left.rows * right.rows * DistanceEvalCost(k, len);
+  return c;
 }
 
 Cost CostModel::PsiJoinMTree(const RelProfile& probe,

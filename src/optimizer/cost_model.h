@@ -119,9 +119,13 @@ class CostModel {
                       double per_pair_cpu) const;
   Cost HashJoin(const RelProfile& outer, const RelProfile& inner) const;
 
-  /// Psi join-type, Table 3 rows 5-8.
+  /// Psi join-type, Table 3 rows 5-8.  `batch_size` > 0 prices LexJoinOp
+  /// on the batched basis, as PsiScanNoIndex does the fused select: the
+  /// smaller side drained into prepared matchers, the larger walked with
+  /// per-batch dispatch, no per-pair operator cost; 0 prices the
+  /// tuple-wise nested loop.
   Cost PsiJoinNoIndex(const RelProfile& left, const RelProfile& right,
-                      int k) const;
+                      int k, size_t batch_size = 0) const;
   Cost PsiJoinMTree(const RelProfile& probe, const RelProfile& indexed,
                     int k) const;
 

@@ -15,18 +15,6 @@ std::string PhysicalPlan::Explain() const {
 
 namespace {
 
-/// Flattens an AND tree into conjuncts.
-void FlattenConjuncts(const ExprPtr& expr, std::vector<ExprPtr>* out) {
-  if (const auto* logical = dynamic_cast<const LogicalExpr*>(expr.get())) {
-    if (logical->op() == LogicalOp::kAnd) {
-      FlattenConjuncts(logical->left(), out);
-      FlattenConjuncts(logical->right(), out);
-      return;
-    }
-  }
-  out->push_back(expr);
-}
-
 /// Matches `expr` as Psi(colref, literal) in either operand order (Psi
 /// commutes, Table 1).  Returns the column index and the literal.
 bool MatchPsiConstant(const Expr& expr, size_t* col, Value* constant,
@@ -562,9 +550,12 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
   out.rows = std::max(1.0, l.rows * r.rows * sel);
   const RelProfile lp = ProfileOf(l, node.left_col);
   const RelProfile rp = ProfileOf(r, node.right_col);
-  const Cost serial_nlj_cost = cost_model_.PsiJoinNoIndex(lp, rp, k);
+  // LexJoinOp's prepared matchers on the batched basis; under
+  // opaque_multilingual the predicate is a per-pair UDF call (batch 0).
+  const Cost serial_nlj_cost = cost_model_.PsiJoinNoIndex(
+      lp, rp, k, hints.opaque_multilingual ? 0 : ctx_->batch_size);
 
-  // Morsel-parallel build/probe: the quadratic CPU term divides by DOP.
+  // Morsel-parallel walk: the quadratic CPU term divides by DOP.
   const int dop = EffectiveDop(hints);
   const Cost par_nlj_cost =
       hints.opaque_multilingual
@@ -605,19 +596,28 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
   LexJoinOp::Options options;
   options.threshold = node.psi_threshold;
   options.tag_distance = node.psi_tag_distance;
+  if (parallel_wins) options.dop = dop;
+  OpPtr outer = std::move(l.op);
   OpPtr inner = std::move(r.op);
-  if (parallel_wins) {
-    options.dop = dop;
-    // Bare table scan on the build side: the join's build workers drain
-    // the heap directly through page-range morsels, so the join takes the
-    // table instead of the scan operator, which would never be pulled.
-    if (r.base_table != nullptr &&
-        dynamic_cast<const SeqScanOp*>(inner.get()) != nullptr) {
+  // A bare table scan on the walked side becomes a leaf attribute: the
+  // join walks its heap page-wise and the scan operator, which would
+  // never be pulled, is dropped.  The inner table is walked only when it
+  // is the larger side, so the drained side (one matcher per row) stays
+  // the smaller one; otherwise the outer side is walked.
+  const auto bare = [](const Planned& side, const OpPtr& op) {
+    return side.base_table != nullptr &&
+           dynamic_cast<const SeqScanOp*>(op.get()) != nullptr;
+  };
+  if (!hints.opaque_multilingual) {
+    if (bare(r, inner) && r.rows > l.rows) {
       options.inner_table = r.base_table;
       inner.reset();
+    } else if (bare(l, outer)) {
+      options.outer_table = l.base_table;
+      outer.reset();
     }
   }
-  out.op = std::make_unique<LexJoinOp>(ctx_, std::move(l.op),
+  out.op = std::make_unique<LexJoinOp>(ctx_, std::move(outer),
                                        std::move(inner), node.left_col,
                                        node.right_col, options);
   return out;

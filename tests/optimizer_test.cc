@@ -118,6 +118,25 @@ TEST_F(OptimizerTest, RangeSelectivityFromBounds) {
   const double all =
       est.RangeSelectivity(*id, Value::Null(), Value::Null());
   EXPECT_NEAR(all, 1.0, 1e-9);
+
+  // A lower and an upper bound on one column are one range, not two
+  // independent predicates (whose product here is ~0.6 * 0.42).
+  const Schema& schema = (*db_->catalog()->GetTable("names"))->schema;
+  const ExprPtr lo = Cmp(CompareOp::kGe, Col(0, "id"), Lit(Value::Int32(400)));
+  const ExprPtr hi = Cmp(CompareOp::kLt, Col(0, "id"), Lit(Value::Int32(420)));
+  ExecContext* ctx = db_->exec_context();
+  const double window =
+      est.PredicateSelectivity(*And(lo, hi), *stats, schema, ctx);
+  EXPECT_DOUBLE_EQ(window, est.RangeSelectivity(*id, Value::Int32(400),
+                                                Value::Int32(420)));
+  EXPECT_LT(window, 0.1);
+  // Bounds apart in a wider AND still pair; the rest stays independent.
+  const ExprPtr psi =
+      LexEq(Col(1, "name"), Lit(Value::Uni("nehru", lang::kEnglish)), 1);
+  const double psi_sel = est.PredicateSelectivity(*psi, *stats, schema, ctx);
+  EXPECT_NEAR(
+      est.PredicateSelectivity(*And(And(hi, psi), lo), *stats, schema, ctx),
+      window * psi_sel, 1e-12);
 }
 
 TEST_F(OptimizerTest, OmegaSelectivityUsesClosureSize) {
@@ -140,6 +159,13 @@ TEST_F(OptimizerTest, OmegaSelectivityUsesClosureSize) {
   const double sel =
       est.OmegaScanSelectivity(*stats->Column("name"), &root_value);
   EXPECT_NEAR(sel, 0.5, 1e-9);
+  // A constant in no synset has an empty closure: nothing matches it.
+  const Value absent = Value::Uni("nosuch", lang::kEnglish);
+  EXPECT_EQ(est.OmegaClosureSize(&absent), 0.0);
+  EXPECT_EQ(est.OmegaScanSelectivity(*stats->Column("name"), &absent),
+            est.params().min_selectivity);
+  // Without a constant the structural f^h heuristic stays.
+  EXPECT_GT(est.OmegaClosureSize(nullptr), 1.0);
 }
 
 // ------------------------------------------------------------ cost model

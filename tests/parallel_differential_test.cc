@@ -9,12 +9,15 @@
 //   1. Operator-level: LexSelectOp with its Psi and Omega kernels over a
 //      real table heap (workers claim page-range morsels and scan through
 //      read guards — there is no serial drain phase to hide behind) and
-//      LexJoinOp over seeded ValuesOp inputs, with small morsels so inputs
-//      span many morsels.
+//      LexJoinOp walking an outer heap, an inner heap or its outer child's
+//      rows (seeded tables and ValuesOp inputs), with small morsels so
+//      inputs span many morsels.
 //   2. Planner-level: full Database queries under a degree_of_parallelism
 //      hint sweep, with datasets sized so the cost model actually picks
 //      the parallel plan at dop > 1.
 //
+// The join cases compare LexJoinOp against Filter(NestedLoop, LexEQUAL):
+// same rows, same order, same predicate_evals and distance.calls.
 // The Omega cases compare the fused select against Filter(SeqScan,
 // SemEqualExpr): same rows, same order, same predicate_evals.  The
 // closure counters legitimately differ — the fused select takes one
@@ -35,8 +38,10 @@
 #include "common/thread_pool.h"
 #include "datagen/name_generator.h"
 #include "datagen/taxonomy_generator.h"
+#include "distance/edit_distance.h"
 #include "engine/database.h"
 #include "exec/basic_ops.h"
+#include "exec/join_ops.h"
 #include "exec/mural_ops.h"
 #include "exec/scan_ops.h"
 #include "mural/algebra.h"
@@ -114,6 +119,55 @@ StatusOr<std::unique_ptr<Database>> MakeNamesDatabase(size_t bases,
                              Value::Uni(rec.name)}));
   }
   MURAL_RETURN_IF_ERROR(db->Analyze("names"));
+  return db;
+}
+
+// Two seeded name tables for the join cases: "big" (300 names, the walked
+// side, padded to span several pages) and "small" (two of every four
+// names, the probe side, so a record often matches several probe rows).
+// Every 7th big key and every 10th small key is NULL, and both tables
+// hold one identical key of over 64 phonemes, so the block form of the
+// matcher runs and matches.
+constexpr int32_t kLongKeyId = 9999;
+
+UniText LongKey() {
+  std::string text;
+  for (int i = 0; i < 8; ++i) text += "abracadabra";
+  return UniText(text, lang::kEnglish);
+}
+
+StatusOr<std::unique_ptr<Database>> MakeJoinDatabase(uint64_t seed,
+                                                      bool materialize) {
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db, Database::Open());
+  Schema schema({{"id", TypeId::kInt32},
+                 {"name", TypeId::kUniText, materialize},
+                 {"pad", TypeId::kText}});
+  MURAL_RETURN_IF_ERROR(db->CreateTable("big", schema));
+  MURAL_RETURN_IF_ERROR(db->CreateTable("small", schema));
+  NameGenOptions options;
+  options.seed = seed;
+  options.num_bases = 100;
+  options.variants_per_base = 3;
+  const std::vector<NameRecord> names = GenerateNames(options);
+  const Value pad = Value::Text(std::string(100, 'p'));
+  for (size_t i = 0; i < names.size(); ++i) {
+    const Value id = Value::Int32(static_cast<int32_t>(names[i].id));
+    const Value key = Value::Uni(names[i].name);
+    MURAL_RETURN_IF_ERROR(
+        db->Insert("big", {id, i % 7 == 3 ? Value::Null() : key, pad}));
+    if (i % 4 < 2) {  // neighbouring variants: multi-match records
+      MURAL_RETURN_IF_ERROR(db->Insert(
+          "small", {id, i % 10 == 5 ? Value::Null() : key, pad}));
+    }
+    if (i == names.size() / 2) {
+      for (const char* table : {"big", "small"}) {
+        MURAL_RETURN_IF_ERROR(db->Insert(
+            table, {Value::Int32(kLongKeyId), Value::Uni(LongKey()), pad}));
+      }
+    }
+  }
+  MURAL_RETURN_IF_ERROR(db->Analyze("big"));
+  MURAL_RETURN_IF_ERROR(db->Analyze("small"));
   return db;
 }
 
@@ -355,7 +409,7 @@ TEST_F(OperatorDifferentialTest, ParallelLexJoinMatchesSerial) {
         options.threshold = 2;
         options.tag_distance = tag;
         options.dop = dop;
-        options.morsel_size = 32;  // many morsels even at this scale
+        options.morsel_pages = 1;  // several row morsels at this scale
         LexJoinOp join(&ctx,
                        std::make_unique<ValuesOp>(&ctx, NamesSchema(), outer),
                        std::make_unique<ValuesOp>(&ctx, NamesSchema(), inner),
@@ -379,9 +433,9 @@ TEST_F(OperatorDifferentialTest, ParallelLexJoinMatchesSerial) {
 }
 
 TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
-  // The table-backed build side: with Options::inner_table set, the join
-  // has no inner child — build workers drain the heap through page-range
-  // read guards.  Results (rows AND order) must be bit-identical to the
+  // The table-backed inner side: with Options::inner_table set, the join
+  // has no inner child — workers walk the heap through page-range read
+  // guards.  Results (rows AND order) must be bit-identical to the
   // serial join that scans the same heap through a SeqScan child.
   for (const uint64_t seed : kSeeds) {
     // Sized so the heap reliably spans several pages (240 short rows can
@@ -404,11 +458,10 @@ TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
       LexJoinOp::Options options;
       options.threshold = 2;
       options.dop = dop;
-      options.morsel_size = 32;
+      options.morsel_pages = 1;  // many page morsels
       OpPtr inner;
       if (heap_build) {
         options.inner_table = table;
-        options.build_morsel_pages = 1;  // many build morsels
       } else {
         inner = std::make_unique<SeqScanOp>(&ctx, table);
       }
@@ -431,6 +484,106 @@ TEST_F(OperatorDifferentialTest, LexJoinHeapBuildMatchesSerial) {
   }
 }
 
+TEST_F(OperatorDifferentialTest, BatchedLexJoinMatchesTupleReference) {
+  // Every LexJoinOp shape against Filter(NestedLoop, LexEQUAL) over the
+  // same tables: rows, their order, predicate_evals and distance.calls
+  // must be equal at every DOP, threshold and phoneme storage.  The
+  // walked side is always the big table: the outer heap, the inner heap
+  // (reordered outer-major by the gather), or the outer child's rows.
+  enum class Walk { kOuterTable, kInnerTable, kOuterRows };
+  for (const uint64_t seed : {uint64_t{42}, uint64_t{7}}) {
+    for (const bool materialize : {true, false}) {
+      auto db_or = MakeJoinDatabase(seed, materialize);
+      ASSERT_TRUE(db_or.ok()) << db_or.status().ToString();
+      std::unique_ptr<Database> db = std::move(*db_or);
+      const TableInfo* big = *db->catalog()->GetTable("big");
+      const TableInfo* small = *db->catalog()->GetTable("small");
+      ASSERT_GT(big->heap->num_pages(), 1u);
+      ExecContext probe_ctx = MakeCtx(1);
+      ASSERT_GT(PhonemesOf(Value::Uni(LongKey()), &probe_ctx)->size(), 64u);
+      for (const Walk walk :
+           {Walk::kOuterTable, Walk::kInnerTable, Walk::kOuterRows}) {
+        const TableInfo* outer_table =
+            walk == Walk::kInnerTable ? small : big;
+        const TableInfo* inner_table =
+            walk == Walk::kInnerTable ? big : small;
+        for (const int k : {0, 1, 2, 3}) {
+          ExecContext ref_ctx = MakeCtx(1);
+          FilterOp reference(
+              &ref_ctx,
+              std::make_unique<NestedLoopJoinOp>(
+                  &ref_ctx, std::make_unique<SeqScanOp>(&ref_ctx, outer_table),
+                  std::make_unique<SeqScanOp>(&ref_ctx, inner_table),
+                  nullptr),
+              LexEq(Col(1, "l"), Col(4, "r"), k));
+          StatusOr<std::vector<Row>> expected = CollectAll(&reference);
+          ASSERT_TRUE(expected.ok());
+          // The over-64-phoneme key matches itself at every threshold.
+          const auto long_pair = [](const Row& r) {
+            return r[0].int32() == kLongKeyId && r[3].int32() == kLongKeyId;
+          };
+          ASSERT_EQ(std::count_if(expected->begin(), expected->end(),
+                                  long_pair),
+                    1);
+          for (const bool tag : {false, true}) {
+            for (const int dop : kDops) {
+              ExecContext ctx = MakeCtx(dop);
+              // Untagged runs take the batch path (7-row batches), tagged
+              // runs the tuple path.
+              ctx.batch_size = tag ? 0 : 7;
+              LexJoinOp::Options options;
+              options.threshold = k;
+              options.tag_distance = tag;
+              options.dop = dop;
+              options.morsel_pages = 1;
+              OpPtr outer = std::make_unique<SeqScanOp>(&ctx, outer_table);
+              OpPtr inner = std::make_unique<SeqScanOp>(&ctx, inner_table);
+              if (walk == Walk::kOuterTable) {
+                options.outer_table = outer_table;
+                outer.reset();
+              } else if (walk == Walk::kInnerTable) {
+                options.inner_table = inner_table;
+                inner.reset();
+              }
+              LexJoinOp join(&ctx, std::move(outer), std::move(inner), 1, 1,
+                             options);
+              // Only operators that are opened and pulled are children.
+              EXPECT_EQ(join.Children().size(),
+                        walk == Walk::kOuterRows ? 2u : 1u);
+              StatusOr<std::vector<Row>> actual = CollectAll(&join);
+              const std::string where =
+                  "seed=" + std::to_string(seed) +
+                  " mat=" + std::to_string(materialize) +
+                  " walk=" + std::to_string(static_cast<int>(walk)) +
+                  " k=" + std::to_string(k) + " tag=" + std::to_string(tag) +
+                  " dop=" + std::to_string(dop);
+              ASSERT_TRUE(actual.ok()) << where;
+              if (tag) {
+                for (Row& row : *actual) {
+                  ASSERT_EQ(row.size(), 7u) << where;
+                  const PhonemeString l = *PhonemesOf(row[1], &ref_ctx);
+                  const PhonemeString r = *PhonemesOf(row[4], &ref_ctx);
+                  EXPECT_EQ(row[6].int32(),
+                            BoundedDistanceCounted(l, r, k, nullptr))
+                      << where;
+                  row.pop_back();
+                }
+              }
+              EXPECT_EQ(RenderAll(*actual), RenderAll(*expected)) << where;
+              EXPECT_EQ(ctx.stats.predicate_evals,
+                        ref_ctx.stats.predicate_evals)
+                  << where;
+              EXPECT_EQ(ctx.stats.distance.calls,
+                        ref_ctx.stats.distance.calls)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(OperatorDifferentialTest, NullKeysAreSkippedIdentically) {
   std::vector<Row> all = SeededNameRows(42, 40, 3, true);
   std::vector<Row> outer = all;
@@ -444,7 +597,7 @@ TEST_F(OperatorDifferentialTest, NullKeysAreSkippedIdentically) {
     LexJoinOp::Options options;
     options.threshold = 2;
     options.dop = dop;
-    options.morsel_size = 16;
+    options.morsel_pages = 1;
     LexJoinOp join(&ctx,
                    std::make_unique<ValuesOp>(&ctx, NamesSchema(), outer),
                    std::make_unique<ValuesOp>(&ctx, NamesSchema(), inner),
@@ -470,7 +623,7 @@ TEST_F(OperatorDifferentialTest, ParallelStatsMatchSerialCounts) {
     LexJoinOp::Options options;
     options.threshold = 2;
     options.dop = dop;
-    options.morsel_size = 16;
+    options.morsel_pages = 1;
     LexJoinOp join(&ctx,
                    std::make_unique<ValuesOp>(&ctx, NamesSchema(), outer),
                    std::make_unique<ValuesOp>(&ctx, NamesSchema(), inner),
@@ -921,6 +1074,78 @@ TEST(PlannerDifferentialTest, SemSelectSqlMatchesFilterPlan) {
                   reference->exec_stats.predicate_evals)
             << where;
       }
+    }
+  }
+}
+
+TEST(PlannerDifferentialTest, JoinWindowSqlWalksTheTableHeap) {
+  // The benchmark's join window: a 20-publisher range against every
+  // author.  The planner must walk the author heap inside LexJoin (table
+  // named in its line, no SeqScan child) and return exactly the rows, in
+  // order, of the opaque plan, which walks its children's rows instead.
+  for (const uint64_t seed : kSeeds) {
+    auto db_or = Database::Open();
+    ASSERT_TRUE(db_or.ok());
+    std::unique_ptr<Database> db = std::move(*db_or);
+    auto session = db->Connect();
+    ASSERT_TRUE(session.ok());
+    for (const char* ddl :
+         {"CREATE TABLE Author (AuthorID INT, AName UNITEXT MATERIALIZE "
+          "PHONEMES)",
+          "CREATE TABLE Publisher (PublisherID INT, PName UNITEXT "
+          "MATERIALIZE PHONEMES)",
+          "SET LEXEQUAL_THRESHOLD = 3"}) {
+      ASSERT_TRUE((*session)->Sql(ddl).ok()) << ddl;
+    }
+    NameGenOptions gen;
+    gen.seed = seed;
+    gen.num_bases = 400;
+    gen.variants_per_base = 3;
+    const std::vector<NameRecord> names = GenerateNames(gen);
+    for (size_t i = 0; i < names.size(); ++i) {
+      ASSERT_TRUE(db->Insert("AUTHOR",
+                             {Value::Int32(static_cast<int32_t>(i)),
+                              Value::Uni(names[i].name)})
+                      .ok());
+      if (i % 6 == 0) {
+        ASSERT_TRUE(db->Insert("PUBLISHER",
+                               {Value::Int32(static_cast<int32_t>(i / 6)),
+                                Value::Uni(names[i].name)})
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(db->Analyze("AUTHOR").ok());
+    ASSERT_TRUE(db->Analyze("PUBLISHER").ok());
+
+    const std::string query =
+        "SELECT A.AuthorID, P.PublisherID FROM Author A, Publisher P "
+        "WHERE A.AName LexEQUAL P.PName AND P.PublisherID >= 40 "
+        "AND P.PublisherID < 60";
+    PlannerHints opaque;
+    opaque.opaque_multilingual = true;
+    auto reference = (*session)->Sql(query, opaque);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_FALSE(reference->rows.empty());
+    for (const int dop : {1, 2, 4}) {
+      ASSERT_TRUE(
+          (*session)
+              ->Sql("SET degree_of_parallelism = " + std::to_string(dop))
+              .ok());
+      auto result = (*session)->Sql(query);
+      const std::string where =
+          "seed=" + std::to_string(seed) + " dop=" + std::to_string(dop);
+      ASSERT_TRUE(result.ok()) << where;
+      const std::string& plan = result->explain_analyze;
+      const size_t join = plan.find("LexJoin(AUTHOR.ANAME ~ PNAME");
+      ASSERT_NE(join, std::string::npos) << where << "\n" << plan;
+      const std::string join_line =
+          plan.substr(join, plan.find('\n', join) - join);
+      EXPECT_NE(join_line.find("matchers=20,"), std::string::npos)
+          << join_line;
+      EXPECT_NE(join_line.find("batch="), std::string::npos) << join_line;
+      EXPECT_EQ(plan.find("SeqScan(AUTHOR)"), std::string::npos) << plan;
+      EXPECT_EQ(RenderAll(result->rows), RenderAll(reference->rows))
+          << where;
     }
   }
 }

@@ -8,8 +8,8 @@
 // across ALL tasks, and each task's engine stack (disk -> fault-injection
 // wrapper -> buffer pool -> catalog) is itself shared between that task's
 // nested morsel workers — BufferPool and Catalog are thread-safe since
-// the latched page-guard redesign, and the nested-parallel joins drain
-// their build side's heap through concurrent read guards.
+// the latched page-guard redesign, and the nested-parallel joins walk
+// one table's heap through concurrent read guards.
 
 #include <gtest/gtest.h>
 
@@ -95,28 +95,34 @@ struct PrivateEngine {
 
 // Runs one Psi join over the engine's tables.  `cache` is the shared
 // session cache; `nested_pool` (may be null) parallelizes the join itself,
-// nesting morsel workers inside the stress task.
+// nesting morsel workers inside the stress task.  A nested join walks one
+// table's heap (the inner one when `walk_inner`, else the outer one)
+// concurrently through read guards — with 4 frames against ~16 heap
+// pages, that contends on the pool's table lock and eviction path too.
 StatusOr<std::vector<Row>> RunJoin(PrivateEngine* engine, PhonemeCache* cache,
-                                   ThreadPool* nested_pool) {
+                                   ThreadPool* nested_pool,
+                                   bool walk_inner = false) {
   ExecContext ctx;
   ctx.lexequal_threshold = 2;
   ctx.phoneme_cache = cache;
   LexJoinOp::Options options;
   options.threshold = 2;
+  OpPtr outer = std::make_unique<SeqScanOp>(&ctx, engine->left);
+  OpPtr inner = std::make_unique<SeqScanOp>(&ctx, engine->right);
   if (nested_pool != nullptr) {
     ctx.thread_pool = nested_pool;
     ctx.degree_of_parallelism = 2;
     options.dop = 2;
-    options.morsel_size = 16;
-    // Build workers drain the inner heap concurrently through read
-    // guards — with 4 frames against ~16 heap pages, that contends on
-    // the pool's table lock and eviction path too.
-    options.inner_table = engine->right;
-    options.build_morsel_pages = 2;
+    options.morsel_pages = 2;
+    if (walk_inner) {
+      options.inner_table = engine->right;
+      inner.reset();
+    } else {
+      options.outer_table = engine->left;
+      outer.reset();
+    }
   }
-  LexJoinOp join(&ctx, std::make_unique<SeqScanOp>(&ctx, engine->left),
-                 std::make_unique<SeqScanOp>(&ctx, engine->right), 1, 1,
-                 options);
+  LexJoinOp join(&ctx, std::move(outer), std::move(inner), 1, 1, options);
   return CollectAll(&join);
 }
 
@@ -145,11 +151,15 @@ TEST(ParallelStressTest, ConcurrentJoinsShareOnePhonemeCache) {
   for (int t = 0; t < kTasks; ++t) {
     PrivateEngine* engine = engines[t].get();
     // Odd tasks additionally parallelize the join itself, nesting morsel
-    // workers inside the concurrent query.
+    // workers inside the concurrent query; they walk the outer heap
+    // (t = 1 mod 4) or the inner one (t = 3 mod 4).
     ThreadPool* nested = (t % 2 == 1) ? &nested_pool : nullptr;
-    futures.push_back(task_pool.Submit([engine, &cache, nested, &expected] {
+    const bool walk_inner = t % 4 == 3;
+    futures.push_back(task_pool.Submit([engine, &cache, nested, walk_inner,
+                                        &expected] {
       for (int round = 0; round < 3; ++round) {
-        StatusOr<std::vector<Row>> rows = RunJoin(engine, &cache, nested);
+        StatusOr<std::vector<Row>> rows =
+            RunJoin(engine, &cache, nested, walk_inner);
         MURAL_RETURN_IF_ERROR(rows.status());
         if (RenderRows(*rows) != expected) {
           return Status::Internal("concurrent join diverged from reference");
