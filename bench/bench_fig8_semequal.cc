@@ -65,6 +65,8 @@ int main() {
   BENCH_CHECK_OK(db->LoadTaxonomy(std::move(generated.taxonomy)));
   BENCH_CHECK_OK(db->CreateTaxonomyIndexes());
   const Taxonomy& tax = *db->taxonomy();
+  std::unique_ptr<Session> session = ConnectOrDie(db.get());
+  ExecContext* ctx = session->exec_context();
 
   // Warm-up run so cold caches do not distort the first data point.
   {
@@ -94,7 +96,7 @@ int main() {
       auto core_btree = ComputeClosure(db.get(), s.lemma, s.lang,
                                        ClosureStrategy::kBTree);
       BENCH_CHECK_OK(core_btree.status());
-      auto out_btree = OutsideClosureSize(db.get(), s.lemma, s.lang,
+      auto out_btree = OutsideClosureSize(db.get(), ctx, s.lemma, s.lang,
                                           /*use_btree=*/true);
       BENCH_CHECK_OK(out_btree.status());
       size = core_seq->second.closure_size;
@@ -108,7 +110,7 @@ int main() {
       core_btree_ms = std::min(core_btree_ms, core_btree->second.millis);
       out_btree_ms = std::min(out_btree_ms, out_btree->second.millis);
     }
-    auto out_seq = OutsideClosureSize(db.get(), s.lemma, s.lang,
+    auto out_seq = OutsideClosureSize(db.get(), ctx, s.lemma, s.lang,
                                       /*use_btree=*/false);
     BENCH_CHECK_OK(out_seq.status());
     if (out_seq->first != size) {

@@ -55,7 +55,8 @@ int main() {
                            &records);
   BENCH_CHECK_OK(db_or.status());
   std::unique_ptr<Database> db = std::move(*db_or);
-  db->SetLexequalThreshold(kThreshold);
+  std::unique_ptr<Session> session = ConnectOrDie(db.get());
+  BENCH_CHECK_OK(session->Set("lexequal_threshold", kThreshold));
   BENCH_CHECK_OK(db->CreateIndex("names_mtree", "names", "name",
                                  IndexKind::kMTree, true));
   BENCH_CHECK_OK(db->CreateIndex("names_mdi", "names", "name",
@@ -66,7 +67,8 @@ int main() {
   auto join_db_or = MakeNamesDb(/*bases=*/300, /*variants=*/4, /*seed=*/7);
   BENCH_CHECK_OK(join_db_or.status());
   std::unique_ptr<Database> join_db = std::move(*join_db_or);
-  join_db->SetLexequalThreshold(kThreshold);
+  std::unique_ptr<Session> join_session = ConnectOrDie(join_db.get());
+  BENCH_CHECK_OK(join_session->Set("lexequal_threshold", kThreshold));
   BENCH_CHECK_OK(AddSecondNamesTable(join_db.get(), "others",
                                      /*bases=*/100, /*variants=*/4,
                                      /*seed=*/11));
@@ -99,7 +101,7 @@ int main() {
         auto plan = MuralBuilder::Scan("names", names_schema)
                         .PsiSelect("name", probe)
                         .Build();
-        auto result = db->Query(plan, hints);
+        auto result = session->Query(plan, hints);
         BENCH_CHECK_OK(result.status());
         scan_rows += result->rows.size();
       }
@@ -111,7 +113,7 @@ int main() {
             .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
             .Build();
     core_noidx.join_ms = TimeMedianMs(3, [&] {
-      auto result = join_db->Query(join_plan, hints);
+      auto result = join_session->Query(join_plan, hints);
       BENCH_CHECK_OK(result.status());
       join_rows = static_cast<size_t>(result->rows[0][0].int64());
     });
@@ -126,7 +128,7 @@ int main() {
         auto plan = MuralBuilder::Scan("names", names_schema)
                         .PsiSelect("name", probe)
                         .Build();
-        auto result = db->Query(plan);
+        auto result = session->Query(plan);
         BENCH_CHECK_OK(result.status());
         rows += result->rows.size();
       }
@@ -143,7 +145,7 @@ int main() {
             .Aggregate({}, {{AggKind::kCountStar, 0, "n"}})
             .Build();
     core_mtree.join_ms = TimeMedianMs(3, [&] {
-      auto result = join_db->Query(join_plan);
+      auto result = join_session->Query(join_plan);
       BENCH_CHECK_OK(result.status());
     });
   }
@@ -153,8 +155,8 @@ int main() {
     size_t rows = 0;
     out_noidx.scan_ms = 0;
     for (const UniText& probe : probes) {
-      auto scan =
-          OutsideLexScan(db.get(), "names", "name", probe, kThreshold);
+      auto scan = OutsideLexScan(db.get(), session->exec_context(), "names",
+                                 "name", probe, kThreshold);
       BENCH_CHECK_OK(scan.status());
       out_noidx.scan_ms += scan->second.millis;
       rows += scan->first.size();
@@ -163,8 +165,9 @@ int main() {
       std::fprintf(stderr, "FATAL: outside scan row mismatch\n");
       return 1;
     }
-    auto join = OutsideLexJoin(join_db.get(), "names", "name", "others",
-                               "name", kThreshold);
+    auto join = OutsideLexJoin(join_db.get(), join_session->exec_context(),
+                               "names", "name", "others", "name",
+                               kThreshold);
     BENCH_CHECK_OK(join.status());
     out_noidx.join_ms = join->second.millis;
     if (join->first.size() != join_rows) {
@@ -179,9 +182,9 @@ int main() {
     size_t rows = 0;
     out_idx.scan_ms = 0;
     for (const UniText& probe : probes) {
-      auto scan =
-          OutsideLexScan(db.get(), "names", "name", probe, kThreshold,
-                         /*use_mdi_index=*/true, "names_mdi");
+      auto scan = OutsideLexScan(db.get(), session->exec_context(), "names",
+                                 "name", probe, kThreshold,
+                                 /*use_mdi_index=*/true, "names_mdi");
       BENCH_CHECK_OK(scan.status());
       out_idx.scan_ms += scan->second.millis;
       rows += scan->first.size();
@@ -190,8 +193,8 @@ int main() {
       std::fprintf(stderr, "FATAL: MDI scan row mismatch\n");
       return 1;
     }
-    auto join = OutsideLexJoin(join_db.get(), "others", "name", "names",
-                               "name", kThreshold,
+    auto join = OutsideLexJoin(join_db.get(), join_session->exec_context(),
+                               "others", "name", "names", "name", kThreshold,
                                /*use_mdi_index=*/true, "names_mdi");
     BENCH_CHECK_OK(join.status());
     out_idx.join_ms = join->second.millis;
@@ -248,12 +251,12 @@ int main() {
     std::printf("\n=== Batch ablation: core no-index scan, 30k names ===\n");
     PlannerHints hints;
     hints.enable_mtree = false;
-    hints.degree_of_parallelism = 1;
+    BENCH_CHECK_OK(session->Set("degree_of_parallelism", 1));
     double tuple_ms = 0, batch_ms = 0;
     size_t tuple_rows = 0, batch_rows = 0;
     std::vector<std::string> tuple_set, batch_set;
     for (const bool batched : {false, true}) {
-      db->SetBatchSize(batched ? 1024 : 0);
+      BENCH_CHECK_OK(session->Set("batch_size", batched ? 1024 : 0));
       size_t rows = 0;
       std::vector<std::string> rendered;
       const double ms = TimeMedianMs(3, [&] {
@@ -263,7 +266,7 @@ int main() {
           auto plan = MuralBuilder::Scan("names", names_schema)
                           .PsiSelect("name", probe)
                           .Build();
-          auto result = db->Query(plan, hints);
+          auto result = session->Query(plan, hints);
           BENCH_CHECK_OK(result.status());
           rows += result->rows.size();
           for (const Row& r : result->rows) {
@@ -281,7 +284,6 @@ int main() {
         tuple_set = std::move(rendered);
       }
     }
-    db->SetBatchSize(1024);  // restore the session default
     if (tuple_rows != scan_rows || batch_rows != scan_rows ||
         tuple_set != batch_set) {
       std::fprintf(stderr,
@@ -314,8 +316,10 @@ int main() {
                               &big_records);
     BENCH_CHECK_OK(big_or.status());
     std::unique_ptr<Database> big = std::move(*big_or);
-    big->SetLexequalThreshold(kThreshold);
-    big->SetDegreeOfParallelism(8);  // provision the pool once
+    std::unique_ptr<Session> big_session = ConnectOrDie(big.get());
+    BENCH_CHECK_OK(big_session->Set("lexequal_threshold", kThreshold));
+    // Provision the pool once (it is grow-only).
+    BENCH_CHECK_OK(big_session->Set("degree_of_parallelism", 8));
     const Schema& big_schema = (*big->catalog()->GetTable("names"))->schema;
     auto plan = MuralBuilder::Scan("names", big_schema)
                     .PsiSelect("name", big_records[17].name)
@@ -334,11 +338,11 @@ int main() {
     for (int dop : {1, 2, 4, 8}) {
       PlannerHints hints;
       hints.enable_mtree = false;
-      hints.degree_of_parallelism = dop;
+      BENCH_CHECK_OK(big_session->Set("degree_of_parallelism", dop));
       size_t rows = 0;
       const uint64_t fetch_before = fetch_nanos->value();
       const double ms = TimeMedianMs(3, [&] {
-        auto result = big->Query(plan, hints);
+        auto result = big_session->Query(plan, hints);
         BENCH_CHECK_OK(result.status());
         rows = result->rows.size();
       });
@@ -361,7 +365,7 @@ int main() {
 
     // Same sweep for the core join workload.
     std::printf("\n-- DOP sweep: core no-index join (1.2k x 400) --\n");
-    join_db->SetDegreeOfParallelism(8);
+    BENCH_CHECK_OK(join_session->Set("degree_of_parallelism", 8));
     auto join_plan =
         MuralBuilder::Scan("names", jnames_schema)
             .PsiJoin(MuralBuilder::Scan("others", others_schema), "name",
@@ -374,11 +378,11 @@ int main() {
     for (int dop : {1, 2, 4, 8}) {
       PlannerHints hints;
       hints.enable_mtree = false;
-      hints.degree_of_parallelism = dop;
+      BENCH_CHECK_OK(join_session->Set("degree_of_parallelism", dop));
       size_t pairs = 0;
       const uint64_t fetch_before = fetch_nanos->value();
       const double ms = TimeMedianMs(3, [&] {
-        auto result = join_db->Query(join_plan, hints);
+        auto result = join_session->Query(join_plan, hints);
         BENCH_CHECK_OK(result.status());
         pairs = static_cast<size_t>(result->rows[0][0].int64());
       });

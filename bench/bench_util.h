@@ -14,6 +14,7 @@
 #include "datagen/name_generator.h"
 #include "datagen/taxonomy_generator.h"
 #include "engine/database.h"
+#include "session/session.h"
 
 namespace mural {
 namespace bench {
@@ -155,6 +156,13 @@ double TimeMedianMs(int runs, Fn&& fn) {
       std::exit(1);                                                \
     }                                                              \
   } while (0)
+
+/// Connects a session with the default options; exits on failure.
+inline std::unique_ptr<Session> ConnectOrDie(Database* db) {
+  StatusOr<std::unique_ptr<Session>> session = db->Connect();
+  BENCH_CHECK_OK(session.status());
+  return std::move(*session);
+}
 
 }  // namespace bench
 }  // namespace mural

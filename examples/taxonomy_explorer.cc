@@ -11,6 +11,7 @@
 #include "engine/closure_exec.h"
 #include "engine/database.h"
 #include "engine/outside_server.h"
+#include "session/session.h"
 
 using namespace mural;
 
@@ -48,6 +49,8 @@ Status Run() {
   MURAL_RETURN_IF_ERROR(db->LoadTaxonomy(std::move(generated.taxonomy)));
   MURAL_RETURN_IF_ERROR(db->CreateTaxonomyIndexes());
   tax = db->taxonomy();
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, db->Connect());
+  ExecContext* ctx = session->exec_context();
 
   std::printf("%-28s %10s %12s %12s %12s %14s\n", "root (closure size)",
               "pinned ms", "seqscan ms", "btree ms", "udf-seq ms",
@@ -66,12 +69,12 @@ Status Run() {
       times[i] = result.second.millis;
       size = result.second.closure_size;
     }
-    MURAL_ASSIGN_OR_RETURN(
-        auto udf_seq,
-        OutsideClosureSize(db.get(), s.lemma, s.lang, /*use_btree=*/false));
-    MURAL_ASSIGN_OR_RETURN(
-        auto udf_btree,
-        OutsideClosureSize(db.get(), s.lemma, s.lang, /*use_btree=*/true));
+    MURAL_ASSIGN_OR_RETURN(auto udf_seq,
+                           OutsideClosureSize(db.get(), ctx, s.lemma, s.lang,
+                                              /*use_btree=*/false));
+    MURAL_ASSIGN_OR_RETURN(auto udf_btree,
+                           OutsideClosureSize(db.get(), ctx, s.lemma, s.lang,
+                                              /*use_btree=*/true));
     char label[64];
     std::snprintf(label, sizeof(label), "%s (%zu)", s.lemma.c_str(), size);
     std::printf("%-28s %10.2f %12.2f %12.2f %12.2f %14.2f\n", label,

@@ -89,16 +89,6 @@ StatusOr<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
       std::make_unique<PhonemeCache>(options.phoneme_cache_capacity);
   db->plan_cache_ = std::make_unique<PlanCache>(options.plan_cache_capacity);
   db->admission_ = std::make_unique<AdmissionController>(options.admission);
-  db->session_defaults_.lexequal_threshold = options.lexequal_threshold;
-  db->session_defaults_.degree_of_parallelism =
-      options.degree_of_parallelism;
-  db->session_defaults_.batch_size =
-      static_cast<int64_t>(options.batch_size);
-  // The built-in session behind the deprecated single-session shims.
-  db->default_session_ =
-      std::make_unique<SessionState>(0, db->phoneme_cache_.get());
-  MURAL_RETURN_IF_ERROR(
-      db->default_session_->ApplyOptions(db->session_defaults_));
   return db;
 }
 
@@ -119,10 +109,9 @@ Status Database::Insert(const std::string& table, Row row) {
     if (schema.column(c).materialize_phonemes && !row[c].is_null() &&
         row[c].type() == TypeId::kUniText &&
         !row[c].unitext().has_phonemes()) {
-      // Materialize is const and stateless — safe through the default
-      // session's transformer regardless of which session inserts.
-      default_session_->exec_context()->transformer->Materialize(
-          &row[c].mutable_unitext());
+      // Materialize is const and stateless, so every session shares the
+      // one transformer.
+      PhoneticTransformer::Default().Materialize(&row[c].mutable_unitext());
     }
   }
   TableWriter writer(info);
@@ -198,7 +187,8 @@ Status Database::CreateIndex(const std::string& index_name,
 }
 
 Status Database::Analyze(const std::string& table) {
-  return AnalyzeWith(table, default_session_->exec_context());
+  ExecContext ctx = SharedContext();
+  return AnalyzeWith(table, &ctx);
 }
 
 Status Database::AnalyzeWith(const std::string& table, ExecContext* ctx) {
@@ -213,7 +203,6 @@ Status Database::AnalyzeWith(const std::string& table, ExecContext* ctx) {
 Status Database::LoadTaxonomy(std::unique_ptr<Taxonomy> taxonomy) {
   taxonomy_ = std::move(taxonomy);
   closure_cache_ = std::make_unique<ClosureCache>(taxonomy_.get());
-  SyncSharedHandles(*default_session_);
 
   // Persist the hierarchy relationally so closure computation can also be
   // driven through the storage layer.
@@ -277,10 +266,14 @@ Status Database::CreateTaxonomyIndexes() {
                      /*on_phonemes=*/false);
 }
 
-void Database::SyncSharedHandles(SessionState& session) {
-  // Sessions minted before LoadTaxonomy still see the taxonomy: the
-  // shared handles are refreshed on every plan entry.
-  ExecContext* ctx = session.exec_context();
+ExecContext Database::SharedContext() const {
+  ExecContext ctx;
+  if (phoneme_cache_->enabled()) ctx.phoneme_cache = phoneme_cache_.get();
+  SyncSharedHandles(&ctx);
+  return ctx;
+}
+
+void Database::SyncSharedHandles(ExecContext* ctx) const {
   ctx->taxonomy = taxonomy_.get();
   ctx->closure_cache = closure_cache_.get();
 }
@@ -288,7 +281,9 @@ void Database::SyncSharedHandles(SessionState& session) {
 StatusOr<PhysicalPlan> Database::PlanOn(SessionState& session,
                                         const LogicalPtr& plan,
                                         PlannerHints hints) {
-  SyncSharedHandles(session);
+  // Sessions minted before LoadTaxonomy still see the taxonomy: the
+  // shared handles are refreshed on every plan entry.
+  SyncSharedHandles(session.exec_context());
   Planner planner(catalog_.get(), &stats_, session.exec_context());
   return planner.Plan(plan, hints);
 }
@@ -297,9 +292,8 @@ StatusOr<QueryResult> Database::QueryOn(SessionState& session,
                                        const LogicalPtr& plan,
                                        PlannerHints hints) {
   // The single admission funnel: every execution path (Session::Query,
-  // Session::Sql including EXPLAIN ANALYZE, the deprecated shims, the
-  // server) reaches execution through here, so the gate is taken exactly
-  // once per query.
+  // Session::Sql including EXPLAIN ANALYZE, the server) reaches execution
+  // through here, so the gate is taken exactly once per query.
   double queue_wait_ms = 0;
   MURAL_ASSIGN_OR_RETURN(AdmissionTicket ticket,
                          admission_->Admit(&queue_wait_ms));
@@ -394,7 +388,7 @@ StatusOr<QueryResult> Database::SqlOn(SessionState& session,
       return result;
     }
     case sql::StatementKind::kSet: {
-      // THE settings path: SQL SET and the C++ setters both land in
+      // THE settings path: SQL SET and Session::Set both land in
       // SessionState::Set, so validation/clamping live in one place.
       MURAL_RETURN_IF_ERROR(session.Set(stmt.set_name, stmt.set_value));
       result = OkResult();
@@ -539,8 +533,11 @@ Status Database::BindUdfHosts() {
                                sql::Bind(parsed, catalog_.get()));
         PlannerHints hints;
         hints.enable_indexscan = outside_closure_btree_;
+        // Serial context: the statement has no Psi, so DOP cannot matter.
+        ExecContext ctx = SharedContext();
+        Planner planner(catalog_.get(), &stats_, &ctx);
         MURAL_ASSIGN_OR_RETURN(PhysicalPlan physical,
-                               PlanQuery(plan, hints));
+                               planner.Plan(plan, hints));
         MURAL_ASSIGN_OR_RETURN(std::vector<Row> rows,
                                CollectAll(physical.root.get()));
         auto out = std::make_shared<std::vector<pl::PlValue>>();

@@ -6,17 +6,12 @@
 // settings the paper stores in system tables (§4.2: LexEQUAL threshold,
 // execution mode) plus the execution context, worker pool and prepared
 // statements — lives in SessionState (engine/session_state.h) and is
-// surfaced through the Session API (session/session.h):
+// surfaced through the Session API (session/session.h), the only way to
+// run a query:
 //
 //   MURAL_ASSIGN_OR_RETURN(auto db, Database::Open());
 //   MURAL_ASSIGN_OR_RETURN(auto session, db->Connect());
 //   MURAL_ASSIGN_OR_RETURN(QueryResult r, session->Sql("SELECT ..."));
-//
-// The *On(SessionState&, ...) members are the session-parameterized core
-// every entry point funnels through.  The historical single-session
-// methods (Query/Sql/PlanQuery/Set*) survive as thin deprecated shims
-// over a built-in default session so the pre-split call sites keep
-// compiling; new code should Connect() a Session instead.
 
 #pragma once
 
@@ -25,7 +20,6 @@
 #include <string>
 
 #include "catalog/catalog.h"
-#include "common/thread_pool.h"
 #include "datagen/taxonomy_generator.h"
 #include "engine/admission.h"
 #include "engine/plan_cache.h"
@@ -50,18 +44,8 @@ struct DatabaseOptions {
   size_t buffer_pool_pages = 8192;
   /// Backing file; empty = in-memory pages (logical I/O still counted).
   std::string disk_path;
-  /// Initial LexEQUAL mismatch threshold: the default for every session
-  /// this Database mints (SET LEXEQUAL_THRESHOLD changes it per session).
-  int lexequal_threshold = 2;
-  /// Default session degree of parallelism for Psi operators.  0 =
-  /// hardware concurrency; 1 = serial plans (SET DEGREE_OF_PARALLELISM
-  /// changes it per session).
-  int degree_of_parallelism = 0;
   /// Entry budget of the shared phoneme cache; 0 disables caching.
   size_t phoneme_cache_capacity = 1 << 16;
-  /// Default rows per batch on the vectorized execution path
-  /// (SET BATCH_SIZE changes it per session); 0 = tuple-at-a-time.
-  size_t batch_size = 1024;
   /// Shared plan-cache entry budget; 0 disables plan caching.
   size_t plan_cache_capacity = 128;
   /// Admission-control gate over concurrent query execution
@@ -97,7 +81,7 @@ struct QueryResult {
   /// skipped.  max_qerror summarizes the worst node.
   std::vector<NodeFeedback> feedback;
   double max_qerror = 1.0;
-  /// The session that ran the query (0 = the built-in legacy session).
+  /// The session that ran the query.
   uint64_t session_id = 0;
   /// Time spent queued at the admission gate before execution began.
   double queue_wait_ms = 0;
@@ -114,15 +98,14 @@ class Database {
   // ------------------------------------------------------------ sessions
 
   /// Mints a new concurrent session against this Database with the
-  /// Database-default session options (thread-safe).  The Session must
-  /// not outlive the Database.  Defined in session/session.cc.
+  /// default SessionOptions (thread-safe).  The Session must not outlive
+  /// the Database.  Defined in session/session.cc.
   [[nodiscard]] StatusOr<std::unique_ptr<Session>> Connect();
   [[nodiscard]] StatusOr<std::unique_ptr<Session>> Connect(
       SessionOptions options);
 
-  const SessionOptions& session_defaults() const {
-    return session_defaults_;
-  }
+  /// The options Connect() starts a session from.
+  SessionOptions session_defaults() const { return SessionOptions(); }
 
   // ------------------------------------------------------------- DDL/DML
   //
@@ -164,10 +147,33 @@ class Database {
 
   const Taxonomy* taxonomy() const { return taxonomy_.get(); }
 
-  // ----------------------------------------- session-parameterized core
-  //
-  // Every query entry point — Session methods, the server, and the
-  // deprecated single-session shims below — funnels through these.
+  // -------------------------------------------------------------- access
+
+  Catalog* catalog() { return catalog_.get(); }
+  StatsCatalog* stats_catalog() { return &stats_; }
+  BufferPool* buffer_pool() { return pool_.get(); }
+  DiskManager* disk() { return disk_.get(); }
+  PhonemeCache* phoneme_cache() { return phoneme_cache_.get(); }
+  PlanCache* plan_cache() { return plan_cache_.get(); }
+  AdmissionController* admission() { return admission_.get(); }
+
+  /// The outside-the-server UDF runtime with SQL_*/TEMPSET_* host
+  /// callbacks bound to this database.  `use_btree_for_closure` selects
+  /// how the SQL_CHILDREN host statement executes: B+Tree probe (requires
+  /// CreateTaxonomyIndexes) vs full scan of tax_edges.  Single-user: the
+  /// outside-the-server baseline models the paper's one-user setup.
+  [[nodiscard]] StatusOr<pl::UdfRuntime*> udf_runtime();
+  void set_outside_closure_uses_btree(bool use) {
+    outside_closure_btree_ = use;
+  }
+
+ private:
+  friend class Session;  // the only caller of the *On core below
+
+  Database() = default;
+
+  // Every query entry point — Session methods and, through them, the
+  // server — funnels through these.
 
   /// Plans without executing (EXPLAIN) on behalf of `session`.
   [[nodiscard]] StatusOr<PhysicalPlan> PlanOn(
@@ -190,81 +196,6 @@ class Database {
       SessionState& session, const std::string& statement,
       PlannerHints hints = PlannerHints());
 
-  // --------------------------------------------- deprecated shims
-  //
-  // The pre-split single-session surface, kept so existing call sites
-  // compile.  Each forwards to the built-in default session (id 0).
-  // DEPRECATED: mint a Session with Connect() instead.
-
-  [[nodiscard]] StatusOr<PhysicalPlan> PlanQuery(
-      const LogicalPtr& plan, PlannerHints hints = PlannerHints()) {
-    return PlanOn(*default_session_, plan, hints);
-  }
-  [[nodiscard]] StatusOr<QueryResult> Query(
-      const LogicalPtr& plan, PlannerHints hints = PlannerHints()) {
-    return QueryOn(*default_session_, plan, hints);
-  }
-  [[nodiscard]] StatusOr<QueryResult> Sql(const std::string& statement) {
-    return SqlOn(*default_session_, statement);
-  }
-
-  void SetLexequalThreshold(int threshold) {
-    MURAL_IGNORE_ERROR(
-        default_session_->Set("lexequal_threshold", threshold));
-  }
-  int lexequal_threshold() const {
-    return default_session_->options().lexequal_threshold;
-  }
-  void SetDegreeOfParallelism(int dop) {
-    MURAL_IGNORE_ERROR(default_session_->Set("degree_of_parallelism", dop));
-  }
-  int degree_of_parallelism() const {
-    return default_session_->options().degree_of_parallelism;
-  }
-  void SetBatchSize(int64_t rows) {
-    MURAL_IGNORE_ERROR(default_session_->Set("batch_size", rows));
-  }
-  size_t batch_size() const {
-    return static_cast<size_t>(default_session_->options().batch_size);
-  }
-  void SetSlowQueryMillis(int64_t millis) {
-    MURAL_IGNORE_ERROR(default_session_->Set("slow_query_millis", millis));
-  }
-  int64_t slow_query_millis() const {
-    return default_session_->slow_query_millis();
-  }
-
-  /// DEPRECATED: the default session's execution context.
-  ExecContext* exec_context() { return default_session_->exec_context(); }
-  /// DEPRECATED: the default session's worker pool (null until DOP > 1).
-  ThreadPool* thread_pool() { return default_session_->thread_pool(); }
-
-  // -------------------------------------------------------------- access
-
-  Catalog* catalog() { return catalog_.get(); }
-  StatsCatalog* stats_catalog() { return &stats_; }
-  BufferPool* buffer_pool() { return pool_.get(); }
-  DiskManager* disk() { return disk_.get(); }
-  PhonemeCache* phoneme_cache() { return phoneme_cache_.get(); }
-  PlanCache* plan_cache() { return plan_cache_.get(); }
-  AdmissionController* admission() { return admission_.get(); }
-
-  /// The outside-the-server UDF runtime with SQL_*/TEMPSET_* host
-  /// callbacks bound to this database.  `use_btree_for_closure` selects
-  /// how the SQL_CHILDREN host statement executes: B+Tree probe (requires
-  /// CreateTaxonomyIndexes) vs full scan of tax_edges.  Single-session:
-  /// the outside-the-server baseline models the paper's one-user setup
-  /// and runs on the default session.
-  [[nodiscard]] StatusOr<pl::UdfRuntime*> udf_runtime();
-  void set_outside_closure_uses_btree(bool use) {
-    outside_closure_btree_ = use;
-  }
-
- private:
-  friend class Session;  // Connect() wires SessionStates to this core
-
-  Database() = default;
-
   [[nodiscard]] Status BindUdfHosts();
 
   /// Binds `stmt` through the shared plan cache (hit skips parse+bind
@@ -277,9 +208,14 @@ class Database {
   [[nodiscard]] Status AnalyzeWith(const std::string& table,
                                    ExecContext* ctx);
 
-  /// Sessions pick up engine-shared handles (taxonomy, closure cache)
-  /// that may have been loaded after the session was minted.
-  void SyncSharedHandles(SessionState& session);
+  /// A serial context over the engine-shared handles (phoneme cache,
+  /// taxonomy, closure cache) for work no session asked for: ANALYZE
+  /// through the C++ API and the SQL_CHILDREN host statements.
+  ExecContext SharedContext() const;
+
+  /// Points `ctx` at the engine-shared handles (taxonomy, closure
+  /// cache), which may have been loaded after its session was minted.
+  void SyncSharedHandles(ExecContext* ctx) const;
 
   uint64_t MintSessionId() {
     return next_session_id_.fetch_add(1, std::memory_order_relaxed);
@@ -294,10 +230,7 @@ class Database {
   std::unique_ptr<PhonemeCache> phoneme_cache_;
   std::unique_ptr<PlanCache> plan_cache_;
   std::unique_ptr<AdmissionController> admission_;
-  SessionOptions session_defaults_;
   std::atomic<uint64_t> next_session_id_{1};
-  /// The built-in session (id 0) behind the deprecated shims.
-  std::unique_ptr<SessionState> default_session_;
   std::unique_ptr<pl::UdfRuntime> udf_;
   bool outside_closure_btree_ = false;
   // TEMPSET_* backing store (models PL/SQL temp tables with an index).

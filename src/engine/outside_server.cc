@@ -9,12 +9,12 @@ namespace {
 
 /// Phoneme string of a stored UniText value (materialized at load time,
 /// like the paper's outside-the-server experiments, §5.3).
-StatusOr<std::string> StoredPhonemes(const Value& v, Database* db) {
+StatusOr<std::string> StoredPhonemes(const Value& v, ExecContext* ctx) {
   if (v.type() != TypeId::kUniText) {
     return Status::InvalidArgument("LexEQUAL column must be UNITEXT");
   }
   if (v.unitext().has_phonemes()) return *v.unitext().phonemes();
-  return db->exec_context()->transformer->Transform(v.unitext());
+  return ctx->transformer->Transform(v.unitext());
 }
 
 StatusOr<bool> UdfLexMatch(pl::UdfRuntime* udf, const std::string& a,
@@ -29,15 +29,14 @@ StatusOr<bool> UdfLexMatch(pl::UdfRuntime* udf, const std::string& a,
 }  // namespace
 
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
-    Database* db, const std::string& table, const std::string& column,
-    const UniText& query, int threshold, bool use_mdi_index,
-    const std::string& mdi_index_name) {
+    Database* db, ExecContext* ctx, const std::string& table,
+    const std::string& column, const UniText& query, int threshold,
+    bool use_mdi_index, const std::string& mdi_index_name) {
   MURAL_ASSIGN_OR_RETURN(pl::UdfRuntime * udf, db->udf_runtime());
   MURAL_ASSIGN_OR_RETURN(TableInfo * info, db->catalog()->GetTable(table));
   MURAL_ASSIGN_OR_RETURN(const size_t col,
                          info->schema.Resolve(column));
-  const std::string query_ph =
-      db->exec_context()->transformer->Transform(query);
+  const std::string query_ph = ctx->transformer->Transform(query);
 
   OutsideRunStats stats;
   const pl::UdfStats udf_before = udf->stats();
@@ -60,7 +59,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
       ++stats.rows_examined;
       const Value& v = row[col];
       if (v.is_null()) continue;
-      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, db));
+      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, ctx));
       MURAL_ASSIGN_OR_RETURN(const bool match,
                              UdfLexMatch(udf, ph, query_ph, threshold));
       if (match) out.push_back(row);
@@ -72,7 +71,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
       ++stats.rows_examined;
       const Value& v = row[col];
       if (v.is_null()) continue;
-      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, db));
+      MURAL_ASSIGN_OR_RETURN(const std::string ph, StoredPhonemes(v, ctx));
       MURAL_ASSIGN_OR_RETURN(const bool match,
                              UdfLexMatch(udf, ph, query_ph, threshold));
       if (match) out.push_back(row);
@@ -81,12 +80,12 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
+  ctx->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
-    Database* db, const std::string& left_table,
+    Database* db, ExecContext* ctx, const std::string& left_table,
     const std::string& left_column, const std::string& right_table,
     const std::string& right_column, int threshold, bool use_mdi_index,
     const std::string& mdi_index_name) {
@@ -119,7 +118,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
         TupleCodec::Deserialize(right->schema, it.record(), &row));
     const Value& v = row[rcol];
     if (v.is_null()) continue;
-    MURAL_ASSIGN_OR_RETURN(std::string ph, StoredPhonemes(v, db));
+    MURAL_ASSIGN_OR_RETURN(std::string ph, StoredPhonemes(v, ctx));
     inner_rows.push_back(row);
     inner_ph.push_back(std::move(ph));
   }
@@ -131,7 +130,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
     ++stats.rows_examined;
     const Value& lv = row[lcol];
     if (lv.is_null()) continue;
-    MURAL_ASSIGN_OR_RETURN(const std::string lph, StoredPhonemes(lv, db));
+    MURAL_ASSIGN_OR_RETURN(const std::string lph, StoredPhonemes(lv, ctx));
     if (mdi != nullptr) {
       // Probe the inner MDI for candidates of this outer value.
       std::vector<Rid> candidates;
@@ -146,7 +145,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
         const Value& rv = inner[rcol];
         if (rv.is_null()) continue;
         MURAL_ASSIGN_OR_RETURN(const std::string rph,
-                               StoredPhonemes(rv, db));
+                               StoredPhonemes(rv, ctx));
         MURAL_ASSIGN_OR_RETURN(const bool match,
                                UdfLexMatch(udf, lph, rph, threshold));
         if (match) {
@@ -172,12 +171,13 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
+  ctx->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 
 StatusOr<std::pair<size_t, OutsideRunStats>> OutsideClosureSize(
-    Database* db, const std::string& lemma, LangId lang, bool use_btree) {
+    Database* db, ExecContext* ctx, const std::string& lemma, LangId lang,
+    bool use_btree) {
   MURAL_ASSIGN_OR_RETURN(pl::UdfRuntime * udf, db->udf_runtime());
   db->set_outside_closure_uses_btree(use_btree);
   OutsideRunStats stats;
@@ -192,12 +192,14 @@ StatusOr<std::pair<size_t, OutsideRunStats>> OutsideClosureSize(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
+  ctx->stats.udf_calls += stats.udf_calls;
   return std::make_pair(static_cast<size_t>(result.AsInt()), stats);
 }
 
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideSemScan(
-    Database* db, const std::string& table, const std::string& column,
-    const UniText& concept_value, bool use_btree) {
+    Database* db, ExecContext* ctx, const std::string& table,
+    const std::string& column, const UniText& concept_value,
+    bool use_btree) {
   MURAL_ASSIGN_OR_RETURN(pl::UdfRuntime * udf, db->udf_runtime());
   db->set_outside_closure_uses_btree(use_btree);
   MURAL_ASSIGN_OR_RETURN(TableInfo * info, db->catalog()->GetTable(table));
@@ -227,7 +229,7 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideSemScan(
   stats.millis = timer.ElapsedMillis();
   stats.udf_calls = udf->stats().calls - udf_before.calls;
   stats.wire_bytes = udf->stats().wire_bytes - udf_before.wire_bytes;
-  db->exec_context()->stats.udf_calls += stats.udf_calls;
+  ctx->stats.udf_calls += stats.udf_calls;
   return std::make_pair(std::move(out), stats);
 }
 

@@ -7,6 +7,10 @@
 // filter (which still needs per-candidate UDF verification).  Everything
 // is real work — the slowdown versus the core path is the measured cost of
 // the architecture, exactly the comparison Table 4 and Figure 8 make.
+//
+// Each entry point takes the caller's ExecContext (normally
+// session->exec_context()): its transformer converts non-materialized
+// values, and its udf_calls counter is charged with the boundary calls.
 
 #pragma once
 
@@ -28,14 +32,14 @@ struct OutsideRunStats {
 /// the MDI named `mdi_index_name`; each one is still verified through the
 /// LEXMATCH UDF (MDI is approximate).
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexScan(
-    Database* db, const std::string& table, const std::string& column,
-    const UniText& query, int threshold, bool use_mdi_index = false,
-    const std::string& mdi_index_name = "");
+    Database* db, ExecContext* ctx, const std::string& table,
+    const std::string& column, const UniText& query, int threshold,
+    bool use_mdi_index = false, const std::string& mdi_index_name = "");
 
 /// LexEQUAL join between two tables' columns, evaluated as a nested loop
 /// of per-pair UDF calls (the PL/SQL script form).
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
-    Database* db, const std::string& left_table,
+    Database* db, ExecContext* ctx, const std::string& left_table,
     const std::string& left_column, const std::string& right_table,
     const std::string& right_column, int threshold,
     bool use_mdi_index = false, const std::string& mdi_index_name = "");
@@ -45,12 +49,13 @@ StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideLexJoin(
 /// scans (use_btree=false) or B+Tree probes — the two outside-the-server
 /// curves of Figure 8.
 StatusOr<std::pair<size_t, OutsideRunStats>> OutsideClosureSize(
-    Database* db, const std::string& lemma, LangId lang, bool use_btree);
+    Database* db, ExecContext* ctx, const std::string& lemma, LangId lang,
+    bool use_btree);
 
 /// SemEQUAL scan via the SEM_MATCH UDF: rows of `table` whose `column`
 /// concept is subsumed by `concept_value`.
 StatusOr<std::pair<std::vector<Row>, OutsideRunStats>> OutsideSemScan(
-    Database* db, const std::string& table, const std::string& column,
-    const UniText& concept_value, bool use_btree);
+    Database* db, ExecContext* ctx, const std::string& table,
+    const std::string& column, const UniText& concept_value, bool use_btree);
 
 }  // namespace mural

@@ -1,5 +1,4 @@
-// Per-session engine state, split out of Database (which used to hard-code
-// "one Database == one single-user session").
+// Per-session engine state.
 //
 // A SessionState owns everything the paper stores per session in system
 // tables (§4.2) — the LexEQUAL threshold and execution knobs — plus the
@@ -28,8 +27,8 @@
 
 namespace mural {
 
-/// The typed per-session settings (replaces the Database Set* setter zoo).
-/// Field defaults are the engine defaults a fresh session starts with.
+/// The typed per-session settings.  Field defaults are the engine
+/// defaults a fresh session starts with (Database::session_defaults).
 struct SessionOptions {
   /// LexEQUAL mismatch threshold (SET LEXEQUAL_THRESHOLD).
   int lexequal_threshold = 2;
@@ -69,14 +68,12 @@ class SessionState {
   /// degree_of_parallelism, batch_size, slow_query_millis}; values are
   /// clamped into their documented ranges; unknown names are NotFound.
   /// Raising degree_of_parallelism (re)provisions the session worker pool
-  /// (grow-only, like the old Database::SetDegreeOfParallelism).
+  /// (grow-only).
   [[nodiscard]] Status Set(const std::string& name, int64_t value);
 
   uint64_t id() const { return id_; }
   const SessionOptions& options() const { return options_; }
   ExecContext* exec_context() { return &ctx_; }
-  /// The session worker pool; null until DOP was raised above 1.
-  ThreadPool* thread_pool() { return pool_.get(); }
   int64_t slow_query_millis() const { return options_.slow_query_millis; }
 
   /// Prepared statements: name (upper-cased) -> validated statement text.

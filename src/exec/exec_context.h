@@ -23,7 +23,7 @@ class ThreadPool;
 /// Effort counters accumulated during one query execution.
 ///
 /// Every counter must be listed in ForEachCounter, which drives Merge and
-/// the per-query delta in Database::Query.  The static_assert below checks
+/// the per-query delta in Database::QueryOn.  The static_assert below checks
 /// the field count against the struct size, so adding a field without
 /// extending the visitor fails to compile instead of silently dropping the
 /// new counter on the morsel-gather merge.
@@ -100,15 +100,15 @@ struct ExecContext {
   /// that do not use the Omega operator.
   const Taxonomy* taxonomy = nullptr;
 
-  /// Materialized-closure cache (paper §4.3); owned by the session so
-  /// closures persist across queries.
+  /// Materialized-closure cache (paper §4.3); owned by the Database and
+  /// shared by its sessions, so closures persist across queries.
   ClosureCache* closure_cache = nullptr;
 
   /// Text-to-phoneme engine for non-materialized UniText values.
   const PhoneticTransformer* transformer = &PhoneticTransformer::Default();
 
-  /// Shared G2P memoization (thread-safe, session-owned); null = compute
-  /// every transform directly.
+  /// Shared G2P memoization (thread-safe, owned by the Database); null =
+  /// compute every transform directly.
   PhonemeCache* phoneme_cache = nullptr;
 
   /// Worker pool for morsel-parallel operators; null = serial execution
@@ -129,7 +129,7 @@ struct ExecContext {
   /// and no nested parallelism.  Workers merge their stats back after the
   /// gather (ExecStats::Merge).  The closure and phoneme caches are both
   /// internally synchronized (GUARDED_BY-annotated mutexes, see
-  /// common/mutex.h), so workers share the session instances.
+  /// common/mutex.h), so workers share them.
   ExecContext WorkerClone() const {
     ExecContext clone = *this;
     clone.stats.Reset();

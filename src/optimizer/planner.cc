@@ -78,12 +78,9 @@ bool ContainsPsi(const Expr& expr) {
 
 }  // namespace
 
-int Planner::EffectiveDop(const PlannerHints& hints) const {
+int Planner::EffectiveDop() const {
   if (ctx_->thread_pool == nullptr) return 1;
-  const int dop = hints.degree_of_parallelism >= 0
-                      ? hints.degree_of_parallelism
-                      : ctx_->degree_of_parallelism;
-  return std::max(1, dop);
+  return std::max(1, ctx_->degree_of_parallelism);
 }
 
 RelProfile Planner::ProfileOf(const Planned& planned, size_t key_col) const {
@@ -382,7 +379,7 @@ StatusOr<Planner::Planned> Planner::PlanScan(const LogicalNode& node,
   // inputs serial.
   if (has_kernel) {
     const Cost serial = kernel_cost(ctx_->batch_size);
-    const int dop = EffectiveDop(hints);
+    const int dop = EffectiveDop();
     const Cost parallel = cost_model_.Parallelize(serial, dop);
     const bool parallel_wins = dop > 1 && parallel.total() < serial.total();
     const Cost cost = parallel_wins ? parallel : serial;
@@ -556,7 +553,7 @@ StatusOr<Planner::Planned> Planner::PlanPsiJoin(const LogicalNode& node,
       lp, rp, k, hints.opaque_multilingual ? 0 : ctx_->batch_size);
 
   // Morsel-parallel walk: the quadratic CPU term divides by DOP.
-  const int dop = EffectiveDop(hints);
+  const int dop = EffectiveDop();
   const Cost par_nlj_cost =
       hints.opaque_multilingual
           ? serial_nlj_cost

@@ -33,11 +33,6 @@ struct PlannerHints {
   /// default selectivity and no index support — how an engine sees
   /// outside-the-server UDFs.
   bool opaque_multilingual = false;
-  /// Degree of parallelism for morsel-parallel Psi operators.
-  /// -1 = inherit the session setting (ctx->degree_of_parallelism);
-  ///  1 = force serial plans.  Parallel candidates are only generated
-  /// when the session has a thread pool.
-  int degree_of_parallelism = -1;
 };
 
 /// A planned query: the executable tree plus the optimizer's predictions.
@@ -106,9 +101,9 @@ class Planner {
   };
   TaxonomyProfile ProfileTaxonomy() const;
 
-  /// The DOP parallel plan candidates are costed at: the hint override or
-  /// the session setting, forced to 1 without a worker pool.
-  int EffectiveDop(const PlannerHints& hints) const;
+  /// The DOP parallel plan candidates are costed at: the session setting
+  /// (ctx->degree_of_parallelism), forced to 1 without a worker pool.
+  int EffectiveDop() const;
 
   Catalog* catalog_;
   const StatsCatalog* stats_;

@@ -2,8 +2,7 @@
 //
 // Each accepted connection gets its own Session (so per-connection SET,
 // prepared statements, and effort counters are isolated) while storage,
-// catalog, statistics, the plan cache, and the admission gate are shared —
-// the concurrent-engine split this PR's API redesign exists to serve.
+// catalog, statistics, the plan cache, and the admission gate are shared.
 //
 // Transport: an AF_UNIX socket (preferred; sandbox- and test-friendly) or
 // loopback TCP (port 0 = kernel-assigned, see port()).  At most

@@ -61,13 +61,16 @@ StatusOr<QueryResult> Session::Execute(const std::string& name) {
 // Defined here, where Session is complete, so the engine layer never
 // includes upward into the session layer.
 StatusOr<std::unique_ptr<Session>> Database::Connect() {
-  return Connect(session_defaults_);
+  return Connect(session_defaults());
 }
 
 StatusOr<std::unique_ptr<Session>> Database::Connect(
     SessionOptions options) {
   std::unique_ptr<Session> session(new Session(this, MintSessionId()));
   MURAL_RETURN_IF_ERROR(session->state_.ApplyOptions(options));
+  // A fresh session's context serves hand-built operators over the
+  // taxonomy before it plans its first query.
+  SyncSharedHandles(session->exec_context());
   return session;
 }
 

@@ -1,11 +1,11 @@
 // Session: one client's handle onto a shared Database.
 //
-// The api split (this PR's tentpole): Database is the shared engine core —
-// storage, catalog, statistics, optimizer, taxonomy, plan cache, admission
-// gate — used concurrently by many sessions, while everything per-client
-// lives here: the typed SessionOptions knobs, the ExecContext with
-// per-session effort counters, the session worker pool, and prepared
-// statements.  `Database::Connect()` mints sessions:
+// Database is the shared engine core — storage, catalog, statistics,
+// optimizer, taxonomy, plan cache, admission gate — used concurrently by
+// many sessions, while everything per-client lives here: the typed
+// SessionOptions knobs, the ExecContext with per-session effort counters,
+// the session worker pool, and prepared statements.  `Database::Connect()`
+// mints sessions, and a Session is the only way to run a query:
 //
 //   MURAL_ASSIGN_OR_RETURN(auto db, Database::Open());
 //   MURAL_ASSIGN_OR_RETURN(auto alice, db->Connect());

@@ -133,11 +133,10 @@ TEST(AdmissionTest, SaturatedGateShedsQueries) {
   options.admission.max_queue = 0;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE((*db)->Sql("CREATE TABLE T (X INT)").ok());
-  ASSERT_TRUE((*db)->Sql("INSERT INTO T VALUES (1)").ok());
-
   auto session = (*db)->Connect();
   ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->Sql("CREATE TABLE T (X INT)").ok());
+  ASSERT_TRUE((*session)->Sql("INSERT INTO T VALUES (1)").ok());
 
   // With the only slot free, queries run...
   auto fine = (*session)->Sql("SELECT X FROM T");

@@ -12,6 +12,7 @@
 #include "engine/database.h"
 #include "engine/outside_server.h"
 #include "mural/algebra.h"
+#include "session/session.h"
 
 namespace mural {
 namespace {
@@ -22,6 +23,9 @@ class EngineTest : public ::testing::Test {
     auto db = Database::Open();
     ASSERT_TRUE(db.ok());
     db_ = std::move(*db);
+    auto session = db_->Connect();
+    ASSERT_TRUE(session.ok());
+    session_ = std::move(*session);
   }
 
   void LoadNames(size_t bases, size_t variants) {
@@ -54,6 +58,7 @@ class EngineTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
+  std::unique_ptr<Session> session_;
   std::vector<NameRecord> names_;
   GeneratedTaxonomy gen_;
   std::vector<SynsetId> base_synsets_;
@@ -66,7 +71,7 @@ TEST_F(EngineTest, InsertMaterializesPhonemesPerSchema) {
   ASSERT_TRUE(db_->Insert("t", {Value::Uni("nehru", lang::kEnglish),
                                 Value::Uni("nehru", lang::kEnglish)})
                   .ok());
-  auto result = db_->Sql("SELECT * FROM t");
+  auto result = session_->Sql("SELECT * FROM t");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_TRUE(result->rows[0][0].unitext().has_phonemes());
@@ -75,7 +80,7 @@ TEST_F(EngineTest, InsertMaterializesPhonemesPerSchema) {
 
 TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
   LoadNames(200, 4);
-  db_->SetLexequalThreshold(3);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 3).ok());
   // Query with the first record's name: its base family must be found.
   const NameRecord& probe = names_[0];
   auto plan =
@@ -83,7 +88,7 @@ TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", probe.name)
           .Build();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   std::set<uint32_t> found;
   for (const Row& r : result->rows) {
@@ -102,7 +107,7 @@ TEST_F(EngineTest, CoreLexScanFindsHomophoneFamilies) {
 
 TEST_F(EngineTest, OutsideLexScanMatchesCoreResults) {
   LoadNames(100, 4);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   const NameRecord& probe = names_[5];
 
   auto core_plan =
@@ -110,10 +115,11 @@ TEST_F(EngineTest, OutsideLexScanMatchesCoreResults) {
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", probe.name)
           .Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
-  auto outside = OutsideLexScan(db_.get(), "names", "name", probe.name, 2);
+  auto outside = OutsideLexScan(db_.get(), session_->exec_context(),
+                                "names", "name", probe.name, 2);
   ASSERT_TRUE(outside.ok()) << outside.status().ToString();
   EXPECT_EQ(outside->first.size(), core->rows.size());
   EXPECT_EQ(outside->second.udf_calls, 400u);  // one per row
@@ -125,11 +131,12 @@ TEST_F(EngineTest, OutsideLexScanWithMdiVerifiesCandidates) {
   ASSERT_TRUE(db_->CreateIndex("names_mdi", "names", "name",
                                IndexKind::kMdi, /*on_phonemes=*/true)
                   .ok());
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   const NameRecord& probe = names_[9];
-  auto plain = OutsideLexScan(db_.get(), "names", "name", probe.name, 2);
-  auto indexed = OutsideLexScan(db_.get(), "names", "name", probe.name, 2,
-                                /*use_mdi_index=*/true, "names_mdi");
+  ExecContext* ctx = session_->exec_context();
+  auto plain = OutsideLexScan(db_.get(), ctx, "names", "name", probe.name, 2);
+  auto indexed = OutsideLexScan(db_.get(), ctx, "names", "name", probe.name,
+                                2, /*use_mdi_index=*/true, "names_mdi");
   ASSERT_TRUE(plain.ok() && indexed.ok());
   // Same answers...
   EXPECT_EQ(plain->first.size(), indexed->first.size());
@@ -151,7 +158,7 @@ TEST_F(EngineTest, OutsideLexJoinMatchesCoreJoin) {
             .ok());
   }
   ASSERT_TRUE(db_->Analyze("other").ok());
-  db_->SetLexequalThreshold(1);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 1).ok());
 
   auto core_plan =
       MuralBuilder::Scan("names",
@@ -160,11 +167,11 @@ TEST_F(EngineTest, OutsideLexJoinMatchesCoreJoin) {
                        "other", (*db_->catalog()->GetTable("other"))->schema),
                    "name", "name")
           .Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
-  auto outside = OutsideLexJoin(db_.get(), "names", "name", "other", "name",
-                                1);
+  auto outside = OutsideLexJoin(db_.get(), session_->exec_context(),
+                                "names", "name", "other", "name", 1);
   ASSERT_TRUE(outside.ok());
   EXPECT_EQ(outside->first.size(), core->rows.size());
   EXPECT_GT(core->rows.size(), 0u);
@@ -213,12 +220,11 @@ TEST_F(EngineTest, OutsideClosureMatchesCore) {
   ASSERT_TRUE(pinned.ok());
 
   ASSERT_TRUE(db_->CreateTaxonomyIndexes().ok());
-  auto outside_seq =
-      OutsideClosureSize(db_.get(), root.lemma, root.lang,
-                         /*use_btree=*/false);
-  auto outside_btree =
-      OutsideClosureSize(db_.get(), root.lemma, root.lang,
-                         /*use_btree=*/true);
+  ExecContext* ctx = session_->exec_context();
+  auto outside_seq = OutsideClosureSize(db_.get(), ctx, root.lemma,
+                                        root.lang, /*use_btree=*/false);
+  auto outside_btree = OutsideClosureSize(db_.get(), ctx, root.lemma,
+                                          root.lang, /*use_btree=*/true);
   ASSERT_TRUE(outside_seq.ok()) << outside_seq.status().ToString();
   ASSERT_TRUE(outside_btree.ok());
   EXPECT_EQ(outside_seq->first, pinned->first.size());
@@ -245,11 +251,11 @@ TEST_F(EngineTest, OutsideSemScanMatchesCoreOmega) {
   const UniText query(probe_concept.lemma, probe_concept.lang);
   auto core_plan =
       MuralBuilder::Scan("docs", schema).OmegaSelect("cat", query).Build();
-  auto core = db_->Query(core_plan);
+  auto core = session_->Query(core_plan);
   ASSERT_TRUE(core.ok());
 
-  auto outside = OutsideSemScan(db_.get(), "docs", "cat", query,
-                                /*use_btree=*/true);
+  auto outside = OutsideSemScan(db_.get(), session_->exec_context(), "docs",
+                                "cat", query, /*use_btree=*/true);
   ASSERT_TRUE(outside.ok()) << outside.status().ToString();
   EXPECT_EQ(outside->first.size(), core->rows.size());
 }
@@ -267,14 +273,14 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
   options.publisher_author_overlap = 0.3;
   const BooksDataset data = GenerateBooks(options, tax);
 
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Author (AuthorID INT, "
-                       "AName UNITEXT MATERIALIZE PHONEMES)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Author (AuthorID INT, "
+                            "AName UNITEXT MATERIALIZE PHONEMES)")
                   .ok());
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Publisher (PublisherID INT, "
-                       "PName UNITEXT MATERIALIZE PHONEMES)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Publisher (PublisherID INT, "
+                            "PName UNITEXT MATERIALIZE PHONEMES)")
                   .ok());
-  ASSERT_TRUE(db_->Sql("CREATE TABLE Book (BookID INT, AuthorID INT, "
-                       "PublisherID INT, Title UNITEXT, Category UNITEXT)")
+  ASSERT_TRUE(session_->Sql("CREATE TABLE Book (BookID INT, AuthorID INT, "
+                            "PublisherID INT, Title UNITEXT, Category UNITEXT)")
                   .ok());
   for (const AuthorRow& a : data.authors) {
     ASSERT_TRUE(db_->Insert("Author", {Value::Int32(a.author_id),
@@ -297,8 +303,8 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
   for (const char* t : {"Author", "Publisher", "Book"}) {
     ASSERT_TRUE(db_->Analyze(t).ok());
   }
-  db_->SetLexequalThreshold(3);
-  auto result = db_->Sql(
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 3).ok());
+  auto result = session_->Sql(
       "SELECT count(*) FROM Author A, Publisher P "
       "WHERE A.AName LexEQUAL P.PName");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -308,16 +314,16 @@ TEST_F(EngineTest, BooksDatasetLoadsAndJoins) {
 
 TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
   LoadNames(50, 3);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   // Pin the tuple-at-a-time plan: the assertions below inspect the
   // Filter-over-SeqScan shape (the batch path fuses them into LexSelect).
-  db_->SetBatchSize(0);
+  ASSERT_TRUE(session_->Set("batch_size", 0).ok());
   auto plan =
       MuralBuilder::Scan("names",
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", names_[0].name)
           .Build();
-  auto result = db_->Query(plan);
+  auto result = session_->Query(plan);
   ASSERT_TRUE(result.ok());
   // The analyzed plan carries per-operator actual row counts; the scan
   // line must report the full table, the filter line the result size.
@@ -332,14 +338,14 @@ TEST_F(EngineTest, ExplainAnalyzeReportsActualRows) {
 
 TEST_F(EngineTest, QueryReportsPerQueryStats) {
   LoadNames(50, 3);
-  db_->SetLexequalThreshold(2);
+  ASSERT_TRUE(session_->Set("lexequal_threshold", 2).ok());
   auto plan =
       MuralBuilder::Scan("names",
                          (*db_->catalog()->GetTable("names"))->schema)
           .PsiSelect("name", names_[0].name)
           .Build();
-  auto r1 = db_->Query(plan);
-  auto r2 = db_->Query(plan);
+  auto r1 = session_->Query(plan);
+  auto r2 = session_->Query(plan);
   ASSERT_TRUE(r1.ok() && r2.ok());
   // Deltas, not cumulative: the two runs report the same work.
   EXPECT_EQ(r1->exec_stats.distance.calls, r2->exec_stats.distance.calls);

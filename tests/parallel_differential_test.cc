@@ -845,9 +845,12 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
     // Provision the worker pool regardless of this machine's core count;
-    // the hint sweep below selects the per-query DOP.
-    db->SetDegreeOfParallelism(8);
+    // the sweep below sets the per-query session DOP.
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     NameGenOptions gen;
     gen.seed = seed;
@@ -866,8 +869,8 @@ TEST(PlannerDifferentialTest, ScanSweepProducesIdenticalResults) {
     for (const int dop : kDops) {
       PlannerHints hints;
       hints.enable_mtree = false;
-      hints.degree_of_parallelism = dop;
-      auto result = db->Query(plan, hints);
+      ASSERT_TRUE(session->Set("degree_of_parallelism", dop).ok());
+      auto result = session->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
       // Serial or parallel, the scan is the one Psi-scan operator.
       EXPECT_NE(result->explain.find("LexSelect"), std::string::npos)
@@ -896,7 +899,10 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetDegreeOfParallelism(8);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     // Second table for the join.
     const Schema schema({{"id", TypeId::kInt32},
@@ -927,8 +933,8 @@ TEST(PlannerDifferentialTest, JoinSweepProducesIdenticalResults) {
     for (const int dop : kDops) {
       PlannerHints hints;
       hints.enable_mtree = false;
-      hints.degree_of_parallelism = dop;
-      auto result = db->Query(plan, hints);
+      ASSERT_TRUE(session->Set("degree_of_parallelism", dop).ok());
+      auto result = session->Query(plan, hints);
       ASSERT_TRUE(result.ok()) << "seed=" << seed << " dop=" << dop;
       if (dop == 1) {
         EXPECT_EQ(result->explain.find("dop="), std::string::npos)
@@ -956,7 +962,10 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
                                    /*materialize=*/true);
     ASSERT_TRUE(db_or.ok());
     std::unique_ptr<Database> db = std::move(*db_or);
-    db->SetDegreeOfParallelism(8);
+    auto session_or = db->Connect();
+    ASSERT_TRUE(session_or.ok());
+    std::unique_ptr<Session> session = std::move(*session_or);
+    ASSERT_TRUE(session->Set("degree_of_parallelism", 8).ok());
 
     NameGenOptions gen;
     gen.seed = seed;
@@ -974,13 +983,13 @@ TEST(PlannerDifferentialTest, BatchSweepProducesIdenticalResults) {
     for (const size_t batch : {size_t{0}, size_t{1}, size_t{7},
                                size_t{1024}}) {
       ASSERT_TRUE(
-          db->Sql("SET batch_size = " + std::to_string(batch)).ok());
-      ASSERT_EQ(db->batch_size(), batch);
+          session->Sql("SET batch_size = " + std::to_string(batch)).ok());
+      ASSERT_EQ(static_cast<size_t>(session->options().batch_size), batch);
       for (const int dop : kDops) {
         PlannerHints hints;
         hints.enable_mtree = false;
-        hints.degree_of_parallelism = dop;
-        auto result = db->Query(plan, hints);
+        ASSERT_TRUE(session->Set("degree_of_parallelism", dop).ok());
+        auto result = session->Query(plan, hints);
         ASSERT_TRUE(result.ok())
             << "seed=" << seed << " batch=" << batch << " dop=" << dop;
         if (dop == 1) {
@@ -1155,11 +1164,14 @@ TEST(PlannerDifferentialTest, SessionDopViaSqlSetIsHonored) {
                                  /*materialize=*/true);
   ASSERT_TRUE(db_or.ok());
   std::unique_ptr<Database> db = std::move(*db_or);
+  auto session_or = db->Connect();
+  ASSERT_TRUE(session_or.ok());
+  std::unique_ptr<Session> session = std::move(*session_or);
 
-  auto set4 = db->Sql("SET degree_of_parallelism = 4");
+  auto set4 = session->Sql("SET degree_of_parallelism = 4");
   ASSERT_TRUE(set4.ok());
-  EXPECT_EQ(db->degree_of_parallelism(), 4);
-  ASSERT_NE(db->thread_pool(), nullptr);
+  EXPECT_EQ(session->options().degree_of_parallelism, 4);
+  ASSERT_NE(session->exec_context()->thread_pool, nullptr);
 
   NameGenOptions gen;
   gen.seed = 42;
@@ -1172,14 +1184,14 @@ TEST(PlannerDifferentialTest, SessionDopViaSqlSetIsHonored) {
                               .PsiSelect("name", records[1].name, {}, 3)
                               .Build();
   PlannerHints hints;
-  hints.enable_mtree = false;  // hints.degree_of_parallelism stays -1
-  auto par = db->Query(plan, hints);
+  hints.enable_mtree = false;
+  auto par = session->Query(plan, hints);
   ASSERT_TRUE(par.ok());
   EXPECT_NE(par->explain.find("dop=4"), std::string::npos) << par->explain;
 
-  auto set1 = db->Sql("SET degree_of_parallelism = 1");
+  auto set1 = session->Sql("SET degree_of_parallelism = 1");
   ASSERT_TRUE(set1.ok());
-  auto serial = db->Query(plan, hints);
+  auto serial = session->Query(plan, hints);
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial->explain.find("dop="), std::string::npos)
       << serial->explain;

@@ -1,14 +1,15 @@
 // The Session/Database API split: Database::Connect() mints sessions with
 // independent settings over one shared engine core; the single
 // SessionState::Set path validates and clamps every knob (SQL SET and the
-// C++ API identically); the deprecated single-session Database shims keep
-// working; results carry session attribution; the shared plan cache
-// serves repeated (prepared) statements with DDL/ANALYZE invalidation; and
-// the multilingual selections plan the fused select exactly where they
-// can, with the filter scan's results and errors.
+// C++ API identically); a Database starts no worker threads of its own;
+// results carry session attribution; the shared plan cache serves
+// repeated (prepared) statements with DDL/ANALYZE invalidation; and the
+// multilingual selections plan the fused select exactly where they can,
+// with the filter scan's results and errors.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,18 +41,30 @@ StatusOr<std::unique_ptr<Database>> MakeBookDatabase(
     DatabaseOptions options = DatabaseOptions()) {
   MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
                          Database::Open(options));
-  MURAL_RETURN_IF_ERROR(db->Sql("CREATE TABLE Book (BookID INT, "
-                                "Author UNITEXT MATERIALIZE PHONEMES)")
+  MURAL_ASSIGN_OR_RETURN(std::unique_ptr<Session> loader, db->Connect());
+  MURAL_RETURN_IF_ERROR(loader->Sql("CREATE TABLE Book (BookID INT, "
+                                    "Author UNITEXT MATERIALIZE PHONEMES)")
                             .status());
   const char* rows[] = {"Nehru", "Neru", "Nero", "Gandhi"};
   int id = 1;
   for (const char* author : rows) {
     MURAL_RETURN_IF_ERROR(
-        db->Sql("INSERT INTO Book VALUES (" + std::to_string(id++) +
-                ", '" + author + "'@English)")
+        loader->Sql("INSERT INTO Book VALUES (" + std::to_string(id++) +
+                    ", '" + author + "'@English)")
             .status());
   }
   return db;
+}
+
+/// This process's OS thread count.
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
 }
 
 TEST(SessionTest, ConnectMintsDistinctSessions) {
@@ -66,7 +79,7 @@ TEST(SessionTest, ConnectMintsDistinctSessions) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE((*a)->id(), (*b)->id());
-  EXPECT_NE((*a)->id(), 0u);  // id 0 is the built-in legacy session
+  EXPECT_NE((*a)->id(), 0u);  // session ids start at 1
   EXPECT_EQ(active->value(), active_before + 2);
 
   a->reset();
@@ -86,8 +99,10 @@ TEST(SessionTest, SessionsHaveIndependentSettings) {
   ASSERT_TRUE((*loose)->Set("lexequal_threshold", 3).ok());
   EXPECT_EQ((*strict)->options().lexequal_threshold, 0);
   EXPECT_EQ((*loose)->options().lexequal_threshold, 3);
-  // The legacy default session is untouched by either.
-  EXPECT_EQ((*db)->lexequal_threshold(), 2);
+  // A session minted afterwards starts from the defaults.
+  auto fresh = (*db)->Connect();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->options().lexequal_threshold, 2);
 
   const std::string query =
       "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'";
@@ -145,27 +160,53 @@ TEST(SessionTest, SetValidatesAndClampsInOnePlace) {
   EXPECT_EQ((*session)->options().lexequal_threshold, 1);
 }
 
-TEST(SessionTest, DeprecatedDatabaseShimsStillWork) {
+TEST(SessionTest, OpenStartsNoWorkerThreads) {
+  // Only sessions own morsel workers: opening, loading, analyzing and
+  // pinning a taxonomy start none, whatever the hardware concurrency.
+  const size_t before = ThreadCount();
+  auto db = Database::Open();
+  ASSERT_TRUE(db.ok());
+  const Schema schema({{"id", TypeId::kInt32},
+                       {"name", TypeId::kUniText, /*mat=*/true}});
+  ASSERT_TRUE((*db)->CreateTable("names", schema).ok());
+  ASSERT_TRUE(
+      (*db)->Insert("names", {Value::Int32(1),
+                               Value::Uni("Nehru", lang::kEnglish)})
+          .ok());
+  ASSERT_TRUE((*db)->Analyze("names").ok());
+  auto tax = std::make_unique<Taxonomy>();
+  const SynsetId history = tax->AddSynset(lang::kEnglish, "History");
+  const SynsetId autob = tax->AddSynset(lang::kEnglish, "Autobiography");
+  ASSERT_TRUE(tax->AddIsA(autob, history).ok());
+  ASSERT_TRUE((*db)->LoadTaxonomy(std::move(tax)).ok());
+  EXPECT_EQ(ThreadCount(), before);
+
+  // A serial session adds none; a DOP-2 session adds exactly one worker
+  // (its morsel phases run strip 0 on the calling thread).
+  SessionOptions serial;
+  serial.degree_of_parallelism = 1;
+  auto serial_session = (*db)->Connect(serial);
+  ASSERT_TRUE(serial_session.ok());
+  EXPECT_EQ(ThreadCount(), before);
+  SessionOptions two;
+  two.degree_of_parallelism = 2;
+  auto two_session = (*db)->Connect(two);
+  ASSERT_TRUE(two_session.ok());
+  EXPECT_EQ(ThreadCount(), before + 1);
+}
+
+TEST(SessionTest, ConnectHandsFreshSessionsTheSharedTaxonomy) {
   auto db = MakeBookDatabase();
   ASSERT_TRUE(db.ok());
-
-  // The pre-split single-session surface, end to end.
-  (*db)->SetLexequalThreshold(1);
-  EXPECT_EQ((*db)->lexequal_threshold(), 1);
-  (*db)->SetBatchSize(-5);
-  EXPECT_EQ((*db)->batch_size(), 0u);
-  (*db)->SetSlowQueryMillis(0);
-  EXPECT_EQ((*db)->slow_query_millis(), 0);
-  (*db)->SetDegreeOfParallelism(4);
-  EXPECT_EQ((*db)->degree_of_parallelism(), 4);
-  ASSERT_NE((*db)->thread_pool(), nullptr);
-  ASSERT_NE((*db)->exec_context(), nullptr);
-  EXPECT_EQ((*db)->exec_context()->lexequal_threshold, 1);
-
-  auto result = (*db)->Sql("SELECT Author FROM Book");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rows.size(), 4u);
-  EXPECT_EQ(result->session_id, 0u);  // the built-in legacy session
+  auto tax = std::make_unique<Taxonomy>();
+  tax->AddSynset(lang::kEnglish, "History");
+  ASSERT_TRUE((*db)->LoadTaxonomy(std::move(tax)).ok());
+  // Without planning a query first, the context serves hand-built Omega
+  // operators.
+  auto session = (*db)->Connect();
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ((*session)->exec_context()->taxonomy, (*db)->taxonomy());
+  EXPECT_NE((*session)->exec_context()->closure_cache, nullptr);
 }
 
 TEST(SessionTest, ExplainAnalyzeAttributesSession) {
@@ -188,12 +229,17 @@ TEST(SessionTest, PlannerHintsThreadThroughSql) {
   ASSERT_TRUE(db.ok());
   auto session = (*db)->Connect();
   ASSERT_TRUE(session.ok());
-  PlannerHints serial;
-  serial.degree_of_parallelism = 1;
-  auto result = (*session)->Sql(
-      "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'", serial);
+  const std::string query =
+      "SELECT Author FROM Book WHERE Author LexEQUAL 'Nehru'";
+  auto plain = (*session)->Sql(query);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_NE(plain->explain.find("LexSelect"), std::string::npos)
+      << plain->explain;
+  PlannerHints opaque;
+  opaque.opaque_multilingual = true;
+  auto result = (*session)->Sql(query, opaque);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->explain.find("dop="), std::string::npos)
+  EXPECT_EQ(result->explain.find("LexSelect"), std::string::npos)
       << result->explain;
 }
 
@@ -277,8 +323,7 @@ TEST(SessionTest, PlanCacheHitsOnRepeatAndInvalidatesOnDdl) {
 
   // DDL sweeps the cache; the next run re-binds.
   const uint64_t invalidations0 = PlanCacheInvalidations()->value();
-  ASSERT_TRUE(
-      (*db)->Sql("CREATE TABLE Other (X INT)").ok());
+  ASSERT_TRUE((*session)->Sql("CREATE TABLE Other (X INT)").ok());
   EXPECT_EQ(PlanCacheInvalidations()->value(), invalidations0 + 1);
   EXPECT_EQ((*db)->plan_cache()->size(), 0u);
   auto after_ddl = (*session)->Execute("probe");

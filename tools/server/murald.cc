@@ -17,9 +17,9 @@
 //   --max-queue=N           admission queue depth              [16]
 //   --queue-timeout-ms=N    queue wait budget before kOverloaded [1000]
 //   --plan-cache=N          shared plan-cache entries (0 = off) [128]
-//   --threshold=N           default session LexEQUAL threshold [2]
-//   --dop=N                 default session DOP (0 = hardware) [0]
-//   --batch-size=N          default session batch size         [1024]
+//   --threshold=N           LexEQUAL threshold sessions start at [2]
+//   --dop=N                 DOP sessions start at (0 = hardware) [0]
+//   --batch-size=N          batch size sessions start at       [1024]
 
 #include <unistd.h>
 
@@ -76,11 +76,11 @@ int main(int argc, char** argv) {
       db_options.plan_cache_capacity =
           static_cast<size_t>(std::atoll(v));
     } else if (FlagValue(argv[i], "--threshold", &v)) {
-      db_options.lexequal_threshold = std::atoi(v);
+      server_options.session_defaults.lexequal_threshold = std::atoi(v);
     } else if (FlagValue(argv[i], "--dop", &v)) {
-      db_options.degree_of_parallelism = std::atoi(v);
+      server_options.session_defaults.degree_of_parallelism = std::atoi(v);
     } else if (FlagValue(argv[i], "--batch-size", &v)) {
-      db_options.batch_size = static_cast<size_t>(std::atoll(v));
+      server_options.session_defaults.batch_size = std::atoll(v);
     } else {
       std::fprintf(stderr, "murald: unknown flag %s\n", argv[i]);
       return 2;
@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
                  db.status().ToString().c_str());
     return 1;
   }
-  server_options.session_defaults = (*db)->session_defaults();
   auto server = mural::Server::Start(db->get(), server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "murald: %s\n",
